@@ -15,7 +15,6 @@ from .identities import (
     identity_report,
     phases,
 )
-from .kernels import USING_COMPILED
 from .potentials import (
     AnalyticPotential,
     LayerPotential,
@@ -81,7 +80,6 @@ __all__ = [
     "SweepResult",
     "SymmetryClass",
     "TransferMatrix",
-    "USING_COMPILED",
     "apply_action",
     "apply_parity",
     "apply_pt",

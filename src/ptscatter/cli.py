@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import io as tables
-from .identities import identity_report
+from .identities import identity_report, worst_residual
 from .potentials import LayerPotential, PotentialError, parse_potential_spec
 from .scan import find_spectral_singularities, find_unidirectional_points, sweep
 from .transfer import BackendError, ConvergenceError
@@ -151,11 +151,8 @@ def _cmd_verify(args) -> int:
     else:
         text = tables.reports_to_csv(reports)
     _write(text, args.out)
-    worst = max(r.max_applicable_residual() for r in reports)
-    failing = sorted({
-        e.identity for r in reports for e in r.entries
-        if e.applicable and e.residual is not None and e.residual > tol
-    })
+    worst = worst_residual(r.max_applicable_residual() for r in reports)
+    failing = sorted({identity for r in reports for identity in r.failing(tol)})
     if failing:
         print(f"verify: FAIL (max applicable residual {worst:.3e} > tol {tol:.1e}); "
               f"failing: {', '.join(failing)}", file=sys.stderr)

@@ -317,14 +317,31 @@ class IdentityReport:
         raise KeyError(identity)
 
     def max_applicable_residual(self) -> float:
-        worst = 0.0
-        for e in self.entries:
-            if e.applicable and e.residual is not None:
-                worst = max(worst, e.residual)
-        return worst
+        """Largest applicable residual, 0 if none; NaN if any applicable residual is NaN."""
+        return worst_residual(e.residual for e in self.entries
+                              if e.applicable and e.residual is not None)
+
+    def failing(self, tol: float) -> tuple[str, ...]:
+        """Applicable identities whose residual is not <= tol (a NaN residual fails)."""
+        return tuple(e.identity for e in self.entries if e.applicable
+                     and e.residual is not None and not e.residual <= tol)
 
     def passes(self, tol: float) -> bool:
-        return self.max_applicable_residual() <= tol
+        return not self.failing(tol)
+
+
+def worst_residual(residuals) -> float:
+    """max(0, *residuals), except that a NaN residual makes the result NaN.
+
+    Python's max() keeps its first argument when compared against NaN, which
+    would let a NaN residual vanish from the maximum.
+    """
+    worst = 0.0
+    for r in residuals:
+        if math.isnan(r):
+            return math.nan
+        worst = max(worst, r)
+    return worst
 
 
 def _is_claimed(identity: str, sym: SymmetryClass) -> tuple[bool, str]:
@@ -384,7 +401,7 @@ def identity_report(
 
     both_finite = s_k.finite and s_negk.finite
     if not both_finite:
-        reason = "non-finite amplitudes (spectral singularity)"
+        reason = "non-finite amplitudes (spectral singularity or overflow)"
         for identity in IDENTITY_IDS:
             if identity != NEGK_MATRIX:
                 add_inapplicable(identity, reason)

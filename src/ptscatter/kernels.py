@@ -1,7 +1,6 @@
-"""Pure-numpy stack kernel: transfer matrices of a layer stack over a k array.
+"""Stack kernel: transfer matrices of a layer stack over a k array, in numpy.
 
-Same contract as the compiled kernel in _stack.pyx. For each wavenumber k the
-field propagator P = [[cos(kw), sin(kw)/kappa], [-kappa^2 sin(kw)/kappa, cos(kw)]]
+For each wavenumber k the field propagator P = [[cos(kw), sin(kw)/kappa], [-kappa^2 sin(kw)/kappa, cos(kw)]]
 is accumulated across the layers and converted once to the plane-wave basis
 referenced to x = 0, i.e. M = W(k, x_right)^-1 P W(k, x_left) with
 W(k, x) = [[e^{ikx}, e^{-ikx}], [ik e^{ikx}, -ik e^{-ikx}]].

@@ -17,6 +17,8 @@ from scipy.optimize import minimize_scalar
 from .potentials import LayerPotential, Potential
 from .transfer import (
     DEFAULT_ODE_TOL,
+    BackendError,
+    ConvergenceError,
     ScatteringData,
     compute_transfer,
     scattering_data,
@@ -82,7 +84,7 @@ def sweep(p: Potential, k_grid, backend: str = "auto",
         for k in ks:
             try:
                 rows.append(scattering_data(compute_transfer(p, float(k), backend, tol)))
-            except Exception as exc:
+            except (ConvergenceError, BackendError) as exc:
                 errors.append((float(k), str(exc)))
                 nan = complex(float("nan"), float("nan"))
                 rows.append(ScatteringData(float(k), nan, nan, nan, nan, False, 0.0, backend))

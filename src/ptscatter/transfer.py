@@ -15,6 +15,7 @@ potentials and an adaptive integrator ("ode") for any potential kind.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -96,8 +97,10 @@ class ScatteringData:
     """Amplitude triple at one wavenumber with the derived combination D.
 
     D = T^2 - R_left R_right controls the negative-k amplitude relations.
-    finite is False at (numerical) spectral singularities, where |M22| fell
-    below the singularity floor and the amplitudes diverge.
+    finite is True only when T, R_left, R_right and D are all finite. It is
+    False at (numerical) spectral singularities, where |M22| fell below the
+    singularity floor and the amplitudes diverge, and wherever M itself
+    overflowed to inf or NaN.
     """
 
     k: float
@@ -213,7 +216,7 @@ def compute_transfer(p: Potential, k: float, backend: str = "auto",
 
 
 def scattering_data(m: TransferMatrix, singularity_floor: float = SINGULARITY_FLOOR) -> ScatteringData:
-    """Amplitudes from the transfer-matrix dictionary; non-finite near singularities."""
+    """Amplitudes from the transfer-matrix dictionary; non-finite at singularities or overflow."""
     cond = abs(m.m22)
     if cond <= singularity_floor:
         nan = complex(math.nan, math.nan)
@@ -222,7 +225,8 @@ def scattering_data(m: TransferMatrix, singularity_floor: float = SINGULARITY_FL
     r_left = -m.m21 / m.m22
     r_right = m.m12 / m.m22
     d = t * t - r_left * r_right
-    return ScatteringData(m.k, t, r_left, r_right, d, True, cond, m.backend)
+    finite = all(map(cmath.isfinite, (t, r_left, r_right, d)))
+    return ScatteringData(m.k, t, r_left, r_right, d, finite, cond, m.backend)
 
 
 def matrix_from_amplitudes(t: complex, r_left: complex, r_right: complex, k: float) -> TransferMatrix:

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from ptscatter import (
+    LayerPotential,
     ScatteringData,
     identity_report,
     scattering_at,
@@ -221,6 +222,15 @@ def test_report_onesided_counts_full_catalog_and_fails():
     assert r.entry(NEGK_AMPLITUDES).residual <= 1e-8
     for identity in (RECIPROCITY_GEN, GEN_UNITARITY_L, GEN_UNITARITY_R, T_NEGK_CONJ):
         assert r.entry(identity).residual > 1e-3
+    assert not r.passes(1e-8)
+
+
+def test_report_nan_residual_fails():
+    # overflowed slab: amplitudes are non-finite, NEGK_MATRIX stays applicable with NaN
+    r = identity_report(LayerPotential((10000.0,), (10.0,), -5.0), 1.0)
+    assert not r.scattering.finite
+    assert math.isnan(r.max_applicable_residual())
+    assert r.failing(1e-8) == (NEGK_MATRIX,)
     assert not r.passes(1e-8)
 
 

@@ -23,6 +23,7 @@ POTS = {
     "barrier": '{"layers":[{"re":2,"im":0,"width":2}],"x0":-1}',
     "ptbilayer": '{"layers":[{"re":0,"im":0.5,"width":1},{"re":0,"im":-0.5,"width":1}],"x0":-1}',
     "onesided": '{"layers":[{"re":0,"im":1,"width":1}],"x0":0}',
+    "opaque": '{"layers":[{"re":10000,"width":10}],"x0":-5}',
 }
 
 
@@ -162,6 +163,14 @@ def test_verify_onesided_exits_one(pot_files, capsys):
     assert all(r["residual"] <= 1e-8 for r in neg)
 
 
+def test_verify_nan_residual_exits_one(pot_files, capsys):
+    # the opaque layer overflows the stack kernel: NEGK_MATRIX is NaN and must fail
+    code = run_command(["verify", "--potential", pot_files["opaque"], "--k", "1"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert "failing: NEGK_MATRIX" in out.err
+
+
 def test_verify_json_output_parses(pot_files, capsys):
     code = run_command(["verify", "--potential", pot_files["barrier"], "--k", "1.3",
                         "--format", "json"])
@@ -196,6 +205,15 @@ def test_sweep_csv_to_stdout(pot_files, capsys):
     assert code == 0
     sw = tables.sweep_from_csv(out.out)
     assert len(sw.rows) == 20
+
+
+def test_sweep_overflowed_rows_are_not_finite(pot_files, capsys):
+    code = run_command(["sweep", "--potential", pot_files["opaque"], "--k-range", "1:2:2"])
+    out = capsys.readouterr()
+    assert code == 0
+    header, *rows = out.out.splitlines()
+    col = header.split(",").index("finite")
+    assert [row.split(",")[col] for row in rows] == ["false", "false"]
 
 
 def test_sweep_backend_both_tags_rows(pot_files, capsys):

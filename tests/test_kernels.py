@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from ptscatter import kernels
 
@@ -14,36 +13,10 @@ def _random_stacks(rng, n_cases):
         yield values, widths, x_left, ks
 
 
-@pytest.mark.skipif(not kernels.USING_COMPILED, reason="compiled kernel not built")
-def test_compiled_matches_pure_python():
-    from ptscatter.kernels import _stack
-
-    rng = np.random.default_rng(21)
-    for values, widths, x_left, ks in _random_stacks(rng, 40):
-        mc = _stack.stack_transfer(values, widths, x_left, ks)
-        mp = kernels.stack_transfer_py(values, widths, x_left, ks)
-        scale = max(1.0, np.max(np.abs(mp)))
-        assert np.max(np.abs(mc - mp)) / scale <= 1e-13
-
-
-@pytest.mark.skipif(not kernels.USING_COMPILED, reason="compiled kernel not built")
-def test_compiled_handles_degenerate_kappa():
-    from ptscatter.kernels import _stack
-
-    # k^2 == v0: the series path for sin(kappa w)/kappa
-    values = np.array([1.69 + 0j])
-    widths = np.array([2.0])
-    ks = np.array([1.3])
-    mc = _stack.stack_transfer(values, widths, 0.0, ks)
-    mp = kernels.stack_transfer_py(values, widths, 0.0, ks)
-    np.testing.assert_allclose(mc, mp, atol=1e-13)
-    assert abs(np.linalg.det(mc[0]) - 1.0) <= 1e-13
-
-
 def test_pure_python_determinants():
     rng = np.random.default_rng(22)
     for values, widths, x_left, ks in _random_stacks(rng, 20):
-        mats = kernels.stack_transfer_py(values, widths, x_left, ks)
+        mats = kernels.stack_transfer(values, widths, x_left, ks)
         dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
         scale = np.maximum(1.0, np.max(np.abs(mats), axis=(1, 2)) ** 2)
         assert np.max(np.abs(dets - 1.0) / scale) <= 1e-11

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ptscatter import (
+    ConvergenceError,
     Feature,
     ScatteringData,
     check_invisibility,
@@ -10,6 +11,7 @@ from ptscatter import (
     scattering_at,
     sweep,
 )
+from ptscatter import scan
 from ptscatter.catalog import barrier, free, onesided, pt_bilayer, pt_stack4
 from ptscatter.scan import (
     BIDIRECTIONAL_REFLECTIONLESS,
@@ -59,6 +61,26 @@ def test_sweep_ode_backend_row_errors_do_not_abort():
     res = sweep(barrier(), np.array([0.7, 1.1]), backend="ode", tol=1e-8)
     assert len(res.rows) == 2
     assert not res.errors
+
+
+def _raise(error):
+    def compute_transfer(*args):
+        raise error
+
+    return compute_transfer
+
+
+def test_sweep_records_convergence_errors_per_row(monkeypatch):
+    monkeypatch.setattr(scan, "compute_transfer", _raise(ConvergenceError("step too small")))
+    res = sweep(barrier(), np.array([0.7, 1.1]), backend="ode")
+    assert [k for k, _ in res.errors] == [0.7, 1.1]
+    assert not any(s.finite for s in res.rows)
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    monkeypatch.setattr(scan, "compute_transfer", _raise(TypeError("programming error")))
+    with pytest.raises(TypeError, match="programming error"):
+        sweep(barrier(), np.array([0.7, 1.1]), backend="ode")
 
 
 def test_singularity_scan_real_potentials_empty():

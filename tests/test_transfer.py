@@ -3,12 +3,14 @@ import pytest
 
 from ptscatter import (
     BackendError,
+    LayerPotential,
     SampledPotential,
     TransferMatrix,
     apply_transfer,
     compute_transfer,
     matrix_from_amplitudes,
     negative_k_matrix,
+    scattering_at,
     scattering_data,
     stack_matrices,
     transfer_matrix_ode,
@@ -147,6 +149,13 @@ def test_scattering_near_singularity_flags_nonfinite():
     assert not s.finite
     assert s.condition == pytest.approx(1e-13)
     assert np.isnan(s.T.real)
+
+
+def test_scattering_overflow_flags_nonfinite():
+    # kappa w ~ 1000: the slab's cos and sin overflow and M comes back NaN
+    s = scattering_at(LayerPotential((10000.0,), (10.0,), -5.0), 1.0)
+    assert np.isnan(s.T.real)
+    assert not s.finite
 
 
 def test_bilayer_pseudo_unitarity_from_stack():
