@@ -86,16 +86,14 @@ def builtin_potential(name: str, **params) -> Potential:
         raise PotentialError(f"bad parameters for {name!r}: {exc}") from exc
 
 
-def corpus(include_scarf2: bool = True) -> dict[str, Potential]:
+def corpus() -> dict[str, Potential]:
     """The default-parameter instances used throughout the test suite."""
-    out: dict[str, Potential] = {
+    return {
         "free": free(),
         "barrier": barrier(),
         "double-barrier": double_barrier(),
         "pt-bilayer": pt_bilayer(),
         "pt-stack4": pt_stack4(),
         "onesided": onesided(),
+        "scarf2-pt": scarf2(),
     }
-    if include_scarf2:
-        out["scarf2-pt"] = scarf2()
-    return out

@@ -9,14 +9,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import io as tables
 from .identities import identity_report, worst_residual
-from .potentials import LayerPotential, PotentialError, parse_potential_spec
-from .scan import find_spectral_singularities, find_unidirectional_points, sweep
-from .transfer import BackendError, ConvergenceError
+from .potentials import PotentialError, parse_potential_spec
+from .scan import (DEFAULT_REFINE_TOL, SPECTRAL_SINGULARITY, ScanResult, SweepResult,
+                   find_spectral_singularities, find_unidirectional_points, sweep)
+from .transfer import ODE, STACK, BackendError, ConvergenceError, resolve_backend, scattering_at
 
 TOL_ENV_VAR = "PTSCATTER_TOL"
 DEFAULT_VERIFY_TOL = 1e-8
@@ -64,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--k-range", type=_parse_k_range, metavar="MIN:MAX:COUNT")
         sp.add_argument("--backend", choices=("auto", "stack", "ode", "both"),
                         default="auto")
-        sp.add_argument("--tol", type=float, default=None,
-                        help=f"tolerance (default {DEFAULT_VERIFY_TOL}, or ${TOL_ENV_VAR})")
         sp.add_argument("--ode-tol", type=float, default=1e-10,
                         help="local error tolerance of the ODE backend")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -77,11 +77,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="evaluate the identity catalog; exit 1 on failure")
     common(sp, needs_range=False)
+    sp.add_argument("--tol", type=float, default=None,
+                    help=f"residual tolerance (default {DEFAULT_VERIFY_TOL}, or ${TOL_ENV_VAR})")
     sp.add_argument("--long", action="store_true",
                     help="CSV output as one row per (k, identity) instead of wide columns")
 
     sp = sub.add_parser("scan", help="locate singular/reflectionless/invisible points")
     common(sp, needs_range=True)
+    sp.add_argument("--tol", type=float, default=DEFAULT_REFINE_TOL,
+                    help=f"refinement tolerance (default {DEFAULT_REFINE_TOL})")
 
     return parser
 
@@ -105,7 +109,7 @@ def _write(text: str, out_path):
 def _cmd_sweep(args) -> int:
     p = _load_potential(args.potential)
     if args.backend == "both":
-        backends = ["stack", "ode"] if isinstance(p, LayerPotential) else ["ode"]
+        backends = dict.fromkeys((resolve_backend(p, "auto"), ODE))
     else:
         backends = [args.backend]
     rows, errors = [], []
@@ -114,8 +118,6 @@ def _cmd_sweep(args) -> int:
         rows.extend(res.rows)
         errors.extend(res.errors)
     rows.sort(key=lambda s: (s.k, s.backend))
-    from .scan import SweepResult
-
     merged = SweepResult(tuple(rows), tuple(errors))
     for k, msg in errors:
         print(f"warning: k={k}: {msg}", file=sys.stderr)
@@ -127,8 +129,7 @@ def _cmd_sweep(args) -> int:
 def _verify_backends(p, requested: str) -> tuple[str, str]:
     """Backends for the +k and -k runs. 'both' crosses stack with ode."""
     if requested == "both":
-        plus = "stack" if isinstance(p, LayerPotential) else "ode"
-        return plus, "ode"
+        return resolve_backend(p, "auto"), ODE
     return requested, requested
 
 
@@ -167,14 +168,11 @@ def _cmd_scan(args) -> int:
     ks = args.k_range
     k_min, k_max = float(ks[0]), float(ks[-1])
     grid_step = float(ks[1] - ks[0])
-    refine_tol = args.tol if args.tol is not None else 1e-10
     backend = "auto" if args.backend == "both" else args.backend
-    res_ss = find_spectral_singularities(p, k_min, k_max, grid_step, tol=refine_tol,
+    res_ss = find_spectral_singularities(p, k_min, k_max, grid_step, tol=args.tol,
                                          backend=backend, ode_tol=args.ode_tol)
-    res_ur = find_unidirectional_points(p, k_min, k_max, grid_step, tol=refine_tol,
+    res_ur = find_unidirectional_points(p, k_min, k_max, grid_step, tol=args.tol,
                                         backend=backend, ode_tol=args.ode_tol)
-    from .scan import ScanResult
-
     merged = ScanResult(
         tuple(sorted(res_ss.features + res_ur.features, key=lambda f: f.k_star)),
         k_min, k_max, grid_step,
@@ -192,26 +190,20 @@ def _cross_check_features(p, res, ode_tol):
     Only meaningful for layer potentials (where the primary run used the
     stack backend); other kinds are returned unchanged.
     """
-    from dataclasses import replace
-
-    from .transfer import compute_transfer, scattering_data
-
-    if not isinstance(p, LayerPotential):
+    if resolve_backend(p, "auto") != STACK:
         return res
     out = []
     for f in res.features:
-        other = "ode"
-        m = compute_transfer(p, f.k_star, other, ode_tol)
-        if f.kind == "spectral_singularity":
-            val = abs(m.m22)
+        s = scattering_at(p, f.k_star, ODE, ode_tol)
+        if f.kind == SPECTRAL_SINGULARITY:
+            val = s.condition
         elif "left" in f.kind:
-            val = abs(scattering_data(m).R_left)
+            val = abs(s.R_left)
         elif "right" in f.kind:
-            val = abs(scattering_data(m).R_right)
+            val = abs(s.R_right)
         else:
-            s = scattering_data(m)
             val = max(abs(s.R_left), abs(s.R_right))
-        note = (f.note + "; " if f.note else "") + f"cross-backend({other}) residual = {val:.3e}"
+        note = (f.note + "; " if f.note else "") + f"cross-backend({ODE}) residual = {val:.3e}"
         out.append(replace(f, note=note))
     return replace(res, features=tuple(out))
 

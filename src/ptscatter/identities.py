@@ -21,12 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-from .potentials import (
-    DEFAULT_CLASS_TOL,
-    Potential,
-    SymmetryClass,
-    classify_symmetry,
-)
+from .potentials import Potential, SymmetryClass, classify_symmetry
 from .transfer import (
     DEFAULT_ODE_TOL,
     ScatteringData,
@@ -123,15 +118,15 @@ class PhaseRecord:
         return (self.m1 + self.m2) % 2
 
 
-def phases(s: ScatteringData, floor: float = REFLECTIONLESS_FLOOR,
-           pt_symmetric: bool = False) -> PhaseRecord:
+def phases(s: ScatteringData, pt_symmetric: bool = False) -> PhaseRecord:
     """Phase record of a finite scattering triple.
 
     m1/m2 are only computed when pt_symmetric is set (they are meaningless
-    otherwise) and the matching reflection is above the floor.
+    otherwise) and the matching reflection is above REFLECTIONLESS_FLOOR.
     """
     if not s.finite:
         raise ValueError("phases undefined: amplitudes are non-finite at this k")
+    floor = REFLECTIONLESS_FLOOR
     tau = cmath.phase(s.T) if abs(s.T) >= floor else None
     lam = cmath.phase(s.R_left) if abs(s.R_left) >= floor else None
     rho = cmath.phase(s.R_right) if abs(s.R_right) >= floor else None
@@ -147,11 +142,6 @@ def phases(s: ScatteringData, floor: float = REFLECTIONLESS_FLOOR,
             m2 = round(x)
             res2 = abs(x - m2)
     return PhaseRecord(tau, lam, rho, m1, m2, res1, res2)
-
-
-def attach_phases(s: ScatteringData, floor: float = REFLECTIONLESS_FLOOR,
-                  pt_symmetric: bool = False) -> ScatteringData:
-    return replace(s, phases=phases(s, floor, pt_symmetric))
 
 
 def _require_finite(*ss: ScatteringData):
@@ -366,9 +356,6 @@ def identity_report(
     tol_ode: float = DEFAULT_ODE_TOL,
     backend: str = "auto",
     backend_negk: str | None = None,
-    class_tol: float = DEFAULT_CLASS_TOL,
-    reflectionless_floor: float = REFLECTIONLESS_FLOOR,
-    d_floor: float = D_FLOOR,
 ) -> IdentityReport:
     """Evaluate the full identity catalog at one k.
 
@@ -377,13 +364,13 @@ def identity_report(
     """
     if k == 0:
         raise ValueError("k = 0: zero-energy scattering is excluded")
-    sym = classify_symmetry(p, tol=class_tol)
+    sym = classify_symmetry(p)
     m_k = compute_transfer(p, k, backend, tol_ode)
     m_negk = compute_transfer(p, -k, backend_negk or backend, tol_ode)
     s_k = scattering_data(m_k)
     s_negk = scattering_data(m_negk)
     if s_k.finite:
-        s_k = attach_phases(s_k, reflectionless_floor, sym.is_pt_symmetric)
+        s_k = replace(s_k, phases=phases(s_k, pt_symmetric=sym.is_pt_symmetric))
     ph = s_k.phases
 
     entries: list[IdentityEntry] = []
@@ -420,7 +407,7 @@ def identity_report(
     add(R_PHASE_REAL, residual_r_phase_real(s_k))
     add(PT_NEGK_R, residual_pt_negk_r(s_k, s_negk))
 
-    if abs(s_k.D) <= d_floor:
+    if abs(s_k.D) <= D_FLOOR:
         add_inapplicable(NEGK_AMPLITUDES, f"|D| = {abs(s_k.D):.2e} below floor")
     else:
         add(NEGK_AMPLITUDES, max(residual_negk_amplitudes(s_k, s_negk)))

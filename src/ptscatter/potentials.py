@@ -105,14 +105,17 @@ class SampledPotential:
             raise PotentialError("sample abscissae must be strictly increasing")
         object.__setattr__(self, "xs", tuple(float(x) for x in self.xs))
         object.__setattr__(self, "vs", tuple(complex(v) for v in self.vs))
+        # arrays built once: evaluate runs per ODE right-hand side, and
+        # converting the tuples there costs O(len(xs)) per call
+        object.__setattr__(self, "_xs", np.asarray(self.xs))
+        object.__setattr__(self, "_vs", np.asarray(self.vs, dtype=complex))
 
     def support_interval(self) -> tuple[float, float]:
         return (self.xs[0], self.xs[-1])
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
-        xs = np.asarray(self.xs)
-        vs = np.asarray(self.vs, dtype=complex)
+        xs, vs = self._xs, self._vs
         out = np.interp(x, xs, vs.real) + 1j * np.interp(x, xs, vs.imag)
         out = np.where((x < xs[0]) | (x > xs[-1]), 0.0, out)
         return out if out.shape else complex(out)
@@ -221,27 +224,24 @@ class SymmetryClass:
         return self.is_real or self.is_even or self.is_pt_symmetric
 
 
-def classify_symmetry(
-    p: Potential,
-    tol: float = DEFAULT_CLASS_TOL,
-    n_samples: int = DEFAULT_CLASS_SAMPLES,
-) -> SymmetryClass:
+def classify_symmetry(p: Potential) -> SymmetryClass:
     """Sample a symmetric grid on [-L, L], L = max |support edge|, and test flags.
 
-    Midpoint sampling is used so that jump discontinuities at x = 0 or at layer
-    edges are not probed exactly at the jump (the pointwise value there is a
-    measure-zero convention, not part of the symmetry).
+    Jump discontinuities are never probed: the pointwise value at a jump is a
+    measure-zero convention, not part of the symmetry. At a layer edge,
+    evaluate returns the right-hand layer, so v(e) and v(-e) would compare
+    layers from opposite sides of the mirror. Midpoint sampling keeps x = 0
+    off the grid, and grid points within a few ulps of any |edge| are dropped.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    tol = DEFAULT_CLASS_TOL
     lo, hi = p.support_interval()
     half = max(abs(lo), abs(hi))
     if half == 0.0:
         return SymmetryClass(True, True, True, 0.0, 0.0, 0.0, tol)
-    m = max(1, n_samples // 2)
+    m = DEFAULT_CLASS_SAMPLES // 2
     xs = (np.arange(m) + 0.5) * (half / m)
+    if p.kind == LayerPotential.kind:
+        xs = _off_edges(xs, p.edges, 8 * np.spacing(half))
     v_pos = np.asarray(p.evaluate(xs), dtype=complex)
     v_neg = np.asarray(p.evaluate(-xs), dtype=complex)
     real_viol = float(max(np.max(np.abs(v_pos.imag)), np.max(np.abs(v_neg.imag))))
@@ -256,6 +256,14 @@ def classify_symmetry(
         pt_violation=pt_viol,
         tol=tol,
     )
+
+
+def _off_edges(xs: np.ndarray, edges: np.ndarray, gap: float) -> np.ndarray:
+    """The sorted points xs that lie farther than gap from every |edge|."""
+    e = np.sort(np.abs(edges))
+    i = np.clip(np.searchsorted(e, xs), 1, e.size - 1)
+    nearest = np.minimum(np.abs(xs - e[i - 1]), np.abs(e[i] - xs))
+    return xs[nearest > gap]
 
 
 def parse_potential_spec(text: str) -> Potential:

@@ -14,13 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .potentials import LayerPotential, Potential
+from .potentials import Potential
 from .transfer import (
     DEFAULT_ODE_TOL,
+    STACK,
     BackendError,
     ConvergenceError,
     ScatteringData,
+    TransferMatrix,
     compute_transfer,
+    resolve_backend,
     scattering_data,
     stack_matrices,
 )
@@ -74,12 +77,12 @@ def sweep(p: Potential, k_grid, backend: str = "auto",
         raise ValueError("k grid must be strictly positive")
     if np.any(np.diff(ks) <= 0):
         raise ValueError("k grid must be strictly increasing")
-    use_stack = backend == "stack" or (backend == "auto" and isinstance(p, LayerPotential))
+    backend = resolve_backend(p, backend)
     rows: list[ScatteringData] = []
     errors: list[tuple[float, str]] = []
-    if use_stack:
+    if backend == STACK:
         for m, k in zip(stack_matrices(p, ks), ks):
-            rows.append(scattering_data(_as_tm(m, k)))
+            rows.append(scattering_data(TransferMatrix.from_array(m, float(k), STACK)))
     else:
         for k in ks:
             try:
@@ -91,16 +94,9 @@ def sweep(p: Potential, k_grid, backend: str = "auto",
     return SweepResult(tuple(rows), tuple(errors))
 
 
-def _as_tm(m, k):
-    from .transfer import TransferMatrix
-
-    return TransferMatrix.from_array(m, float(k), "stack")
-
-
 def _objective_grid(p, ks, backend, tol, extract):
     """|extract(M)|^2 on the grid, vectorized through the stack kernel when possible."""
-    use_stack = backend == "stack" or (backend == "auto" and isinstance(p, LayerPotential))
-    if use_stack:
+    if resolve_backend(p, backend) == STACK:
         mats = stack_matrices(p, ks)
         return np.abs(extract(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])) ** 2
     vals = []
@@ -155,7 +151,6 @@ def find_spectral_singularities(
     p: Potential, k_min: float, k_max: float, grid_step: float,
     tol: float = DEFAULT_REFINE_TOL, backend: str = "auto",
     ode_tol: float = DEFAULT_ODE_TOL,
-    acceptance_floor: float = ACCEPTANCE_FLOOR,
 ) -> ScanResult:
     """Locate real-k zeros of M22 (poles of the amplitudes) on [k_min, k_max].
 
@@ -171,7 +166,7 @@ def find_spectral_singularities(
     for i in _local_minima(grid_vals):
         triple = (float(ks[i - 1]), float(ks[i]), float(ks[i + 1]))
         k_star, resid, bracket = _refine(p, triple, backend, ode_tol, tol, extract)
-        if resid <= acceptance_floor:
+        if resid <= ACCEPTANCE_FLOOR:
             features.append(Feature(
                 kind=SPECTRAL_SINGULARITY, k_star=k_star, residual=resid,
                 bracket=bracket,
@@ -180,32 +175,30 @@ def find_spectral_singularities(
     return ScanResult(tuple(features), k_min, k_max, grid_step)
 
 
-def check_invisibility(feature: Feature, s: ScatteringData,
-                       tol: float = INVISIBILITY_TOL) -> bool:
+def check_invisibility(feature: Feature, s: ScatteringData) -> bool:
     """True iff the reflectionless point is also perfectly transparent, T = 1.
 
     |T| = 1 alone is not enough: invisibility needs the transmission phase to
-    vanish as well, so the test is |T(k*) - 1| <= tol on the full complex T.
+    vanish as well, so the test is |T(k*) - 1| <= INVISIBILITY_TOL on the
+    full complex T.
     """
     if feature.kind not in (REFLECTIONLESS_LEFT, REFLECTIONLESS_RIGHT,
                             BIDIRECTIONAL_REFLECTIONLESS, INVISIBLE_LEFT, INVISIBLE_RIGHT):
         raise ValueError(f"not a reflectionless feature: {feature.kind}")
-    return bool(s.finite and abs(s.T - 1.0) <= tol)
+    return bool(s.finite and abs(s.T - 1.0) <= INVISIBILITY_TOL)
 
 
 def find_unidirectional_points(
     p: Potential, k_min: float, k_max: float, grid_step: float,
     tol: float = DEFAULT_REFINE_TOL, backend: str = "auto",
     ode_tol: float = DEFAULT_ODE_TOL,
-    acceptance_floor: float = ACCEPTANCE_FLOOR,
-    invisibility_tol: float = INVISIBILITY_TOL,
 ) -> ScanResult:
     """Locate zeros of |R_left| and |R_right| and classify them.
 
     A zero of one reflection is unidirectional when the opposite reflection
     modulus exceeds 10*tol at the located k, bidirectional otherwise.
     Unidirectional features are upgraded to invisible_{left,right} when
-    additionally |T - 1| <= invisibility_tol. A potential that is
+    additionally |T - 1| <= INVISIBILITY_TOL. A potential that is
     reflectionless on the entire grid (the free potential) has no isolated
     zeros and reports no features.
     """
@@ -221,12 +214,12 @@ def find_unidirectional_points(
     features = []
     for kind, invisible_kind, extract, opposite in sides:
         grid_vals = _objective_grid(p, ks, backend, ode_tol, extract)
-        if np.all(np.sqrt(grid_vals) < acceptance_floor):
+        if np.all(np.sqrt(grid_vals) < ACCEPTANCE_FLOOR):
             continue  # reflectionless everywhere on this side: no isolated features
         for i in _local_minima(grid_vals):
             triple = (float(ks[i - 1]), float(ks[i]), float(ks[i + 1]))
             k_star, resid, bracket = _refine(p, triple, backend, ode_tol, tol, extract)
-            if resid > acceptance_floor:
+            if resid > ACCEPTANCE_FLOOR:
                 continue
             s = scattering_data(compute_transfer(p, k_star, backend, ode_tol))
             if not s.finite:
@@ -234,7 +227,7 @@ def find_unidirectional_points(
             one_sided = opposite(s) > 10.0 * tol
             t_dev = abs(s.T - 1.0)
             near_edge = k_star - k_min < grid_step or k_max - k_star < grid_step
-            if one_sided and t_dev <= invisibility_tol:
+            if one_sided and t_dev <= INVISIBILITY_TOL:
                 feature_kind = invisible_kind
                 residual = resid + t_dev
                 note = f"|T-1| = {t_dev:.3e}"

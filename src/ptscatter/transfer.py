@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import kernels
-from .potentials import LayerPotential, Potential
+from .potentials import LayerPotential, Potential, SampledPotential
 
 if TYPE_CHECKING:  # pragma: no cover
     from .identities import PhaseRecord
@@ -155,11 +155,14 @@ def stack_matrices(p: Potential, ks) -> np.ndarray:
 
 
 def _ode_segments(p: Potential) -> list[tuple[float, float]]:
+    """Integration pieces: one per layer or per linear piece between samples."""
     if isinstance(p, LayerPotential) and p.values:
         e = p.edges
-        return [(float(a), float(b)) for a, b in zip(e[:-1], e[1:])]
-    lo, hi = p.support_interval()
-    return [(lo, hi)]
+    elif isinstance(p, SampledPotential):
+        e = p.xs
+    else:
+        return [p.support_interval()]
+    return [(float(a), float(b)) for a, b in zip(e[:-1], e[1:])]
 
 
 def transfer_matrix_ode(p: Potential, k: float, tol: float = DEFAULT_ODE_TOL) -> TransferMatrix:
@@ -168,8 +171,9 @@ def transfer_matrix_ode(p: Potential, k: float, tol: float = DEFAULT_ODE_TOL) ->
     Initial data at the left support edge are exact plane waves e^{+-ikx}
     (valid because v vanishes outside the support); (A_plus, B_plus) are read
     off psi and psi' at the right edge. Both columns are propagated in one
-    4-component complex system. Integration restarts at layer boundaries so
-    the adaptive controller never steps across a discontinuity.
+    4-component complex system. Integration restarts at layer boundaries and
+    at sample abscissae, so the adaptive controller never steps across a jump
+    or a kink of the profile.
     """
     if k == 0:
         raise ValueError("k = 0: zero-energy scattering is excluded")
@@ -203,22 +207,27 @@ def transfer_matrix_ode(p: Potential, k: float, tol: float = DEFAULT_ODE_TOL) ->
     return TransferMatrix(complex(m11), complex(m12), complex(m21), complex(m22), float(k), ODE)
 
 
-def compute_transfer(p: Potential, k: float, backend: str = "auto",
-                     tol: float = DEFAULT_ODE_TOL) -> TransferMatrix:
-    """Dispatch: 'stack' | 'ode' | 'auto' (stack for layers, ode otherwise)."""
+def resolve_backend(p: Potential, backend: str) -> str:
+    """'stack' | 'ode' for a requested 'stack' | 'ode' | 'auto' (stack for layers)."""
     if backend == "auto":
-        backend = STACK if isinstance(p, LayerPotential) else ODE
-    if backend == STACK:
-        return transfer_matrix_stack(p, k)
-    if backend == ODE:
-        return transfer_matrix_ode(p, k, tol)
+        return STACK if isinstance(p, LayerPotential) else ODE
+    if backend in (STACK, ODE):
+        return backend
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def scattering_data(m: TransferMatrix, singularity_floor: float = SINGULARITY_FLOOR) -> ScatteringData:
+def compute_transfer(p: Potential, k: float, backend: str = "auto",
+                     tol: float = DEFAULT_ODE_TOL) -> TransferMatrix:
+    """Dispatch to the backend that resolve_backend picks."""
+    if resolve_backend(p, backend) == STACK:
+        return transfer_matrix_stack(p, k)
+    return transfer_matrix_ode(p, k, tol)
+
+
+def scattering_data(m: TransferMatrix) -> ScatteringData:
     """Amplitudes from the transfer-matrix dictionary; non-finite at singularities or overflow."""
     cond = abs(m.m22)
-    if cond <= singularity_floor:
+    if cond <= SINGULARITY_FLOOR:
         nan = complex(math.nan, math.nan)
         return ScatteringData(m.k, nan, nan, nan, nan, False, cond, m.backend)
     t = 1.0 / m.m22
@@ -249,7 +258,6 @@ def negative_k_matrix(m: TransferMatrix) -> TransferMatrix:
 
 
 def scattering_at(p: Potential, k: float, backend: str = "auto",
-                  tol: float = DEFAULT_ODE_TOL,
-                  singularity_floor: float = SINGULARITY_FLOOR) -> ScatteringData:
+                  tol: float = DEFAULT_ODE_TOL) -> ScatteringData:
     """Convenience: transfer matrix then amplitudes."""
-    return scattering_data(compute_transfer(p, k, backend, tol), singularity_floor)
+    return scattering_data(compute_transfer(p, k, backend, tol))

@@ -207,6 +207,13 @@ def test_sweep_csv_to_stdout(pot_files, capsys):
     assert len(sw.rows) == 20
 
 
+def test_sweep_rejects_tol_flag(pot_files, capsys):
+    code = run_command(["sweep", "--potential", pot_files["barrier"],
+                        "--k-range", "0.5:3:20", "--tol", "1"])
+    assert code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_sweep_overflowed_rows_are_not_finite(pot_files, capsys):
     code = run_command(["sweep", "--potential", pot_files["opaque"], "--k-range", "1:2:2"])
     out = capsys.readouterr()

@@ -118,13 +118,6 @@ def test_classify_scarf2_is_pt():
     assert sym.is_pt_symmetric and not sym.is_real and not sym.is_even
 
 
-def test_classify_validation():
-    with pytest.raises(ValueError):
-        classify_symmetry(barrier(), tol=0.0)
-    with pytest.raises(ValueError):
-        classify_symmetry(barrier(), n_samples=1)
-
-
 def test_parse_bilayer_document():
     text = '{"layers":[{"re":0,"im":0.5,"width":1},{"re":0,"im":-0.5,"width":1}],"x0":-1}'
     p = parse_potential_spec(text)
@@ -227,3 +220,24 @@ def test_layers_json_round_shape():
     doc = {"layers": [{"re": 2, "im": 0, "width": 2}], "x0": -1}
     p = parse_potential_spec(json.dumps(doc))
     assert p.evaluate(0.0) == 2.0
+
+
+def _equal_layers_on_grid(half_values):
+    """64 equal layers on [-3, 3]: edges 0.1875, 0.5625, ... fall on the classifier grid."""
+    return LayerPotential(tuple(np.conj(half_values[::-1])) + tuple(half_values),
+                          (6.0 / 64,) * 64, -3.0)
+
+
+def test_classify_pt_stack_with_edges_on_grid():
+    rng = np.random.default_rng(6)
+    half = rng.uniform(-1, 1, 32) + 1j * rng.uniform(-0.4, 0.4, 32)
+    sym = classify_symmetry(_equal_layers_on_grid(half))
+    assert sym.is_pt_symmetric and sym.pt_violation == 0.0
+    assert not sym.is_real and not sym.is_even
+
+
+def test_classify_mirrored_real_stack_with_edges_on_grid():
+    rng = np.random.default_rng(7)
+    sym = classify_symmetry(_equal_layers_on_grid(rng.uniform(-1, 1, 32) + 0j))
+    assert sym.is_real and sym.is_even and sym.is_pt_symmetric
+    assert sym.even_violation == 0.0

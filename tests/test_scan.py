@@ -12,7 +12,7 @@ from ptscatter import (
     sweep,
 )
 from ptscatter import scan
-from ptscatter.catalog import barrier, free, onesided, pt_bilayer, pt_stack4
+from ptscatter.catalog import barrier, free, onesided, pt_bilayer, pt_stack4, scarf2
 from ptscatter.scan import (
     BIDIRECTIONAL_REFLECTIONLESS,
     REFLECTIONLESS_LEFT,
@@ -75,6 +75,13 @@ def test_sweep_records_convergence_errors_per_row(monkeypatch):
     res = sweep(barrier(), np.array([0.7, 1.1]), backend="ode")
     assert [k for k, _ in res.errors] == [0.7, 1.1]
     assert not any(s.finite for s in res.rows)
+
+
+def test_sweep_error_rows_carry_resolved_backend(monkeypatch):
+    monkeypatch.setattr(scan, "compute_transfer", _raise(ConvergenceError("step too small")))
+    res = sweep(scarf2(), np.array([0.7, 1.1]))
+    assert len(res.errors) == 2
+    assert [s.backend for s in res.rows] == ["ode", "ode"]
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
@@ -183,10 +190,11 @@ def test_check_invisibility_rejects_transparent_but_phased():
         check_invisibility(Feature(SPECTRAL_SINGULARITY, 1.0, 0.0, (0.9, 1.1)), s)
 
 
-def test_invisibility_upgrade_wiring():
+def test_invisibility_upgrade_wiring(monkeypatch):
     # loose tolerance forces the upgrade path; kind switches and the note
     # records the measured |T - 1|
-    res = find_unidirectional_points(pt_stack4(), 2.0, 2.5, 0.01, invisibility_tol=2.0)
+    monkeypatch.setattr(scan, "INVISIBILITY_TOL", 2.0)
+    res = find_unidirectional_points(pt_stack4(), 2.0, 2.5, 0.01)
     assert len(res.features) == 1
     f = res.features[0]
     assert f.kind == "invisible_left"

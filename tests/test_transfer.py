@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from ptscatter import (
     BackendError,
@@ -17,6 +18,7 @@ from ptscatter import (
     transfer_matrix_stack,
 )
 from ptscatter.catalog import barrier, double_barrier, free, onesided, pt_bilayer, pt_stack4, scarf2
+from ptscatter.transfer import resolve_backend
 
 from oracles import stack_matrix_oracle
 
@@ -118,6 +120,36 @@ def test_ode_sampled_bilayer_within_interpolation_bound():
     assert 0.3 <= errs[1e-3] / errs[2e-3] <= 0.7  # first-order convergence
 
 
+def _piecewise_linear_reference(xs, vs, k):
+    """M(k) of a sampled profile with one tight DOP853 solve per linear piece."""
+    el = np.exp(1j * k * xs[0])
+    y = np.array([el, 1j * k * el, 1 / el, -1j * k / el])
+    for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], vs[:-1], vs[1:]):
+        slope = (v1 - v0) / (x1 - x0)
+
+        def rhs(x, y):
+            g = v0 + slope * (x - x0) - k * k
+            return np.array([y[1], g * y[0], y[3], g * y[2]])
+
+        y = solve_ivp(rhs, (x0, x1), y, method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
+    er, ik = np.exp(1j * k * xs[-1]), 1j * k
+    return np.array([
+        [(y[0] / 2 + y[1] / (2 * ik)) / er, (y[2] / 2 + y[3] / (2 * ik)) / er],
+        [(y[0] / 2 - y[1] / (2 * ik)) * er, (y[2] / 2 - y[3] / (2 * ik)) * er],
+    ])
+
+
+def test_ode_sampled_bump_matches_piecewise_reference():
+    # 13-point PT bump: stepping across the kinks at the sample abscissae
+    # erred by 3.9e-8 here; restarting at each abscissa errs by 3.4e-11
+    xs = np.linspace(-2.5, 2.5, 13)
+    env = np.exp(-xs**2)
+    vs = env + 0.4j * (xs / 2.5) * env
+    k = 0.5
+    m = transfer_matrix_ode(SampledPotential(tuple(xs), tuple(vs)), k, 1e-10).as_array()
+    assert np.max(np.abs(m - _piecewise_linear_reference(xs, vs, k))) <= 1e-9
+
+
 def test_ode_scarf2_unit_determinant():
     m = transfer_matrix_ode(scarf2(), 1.3, 1e-11)
     assert abs(m.det - 1.0) <= 1e-9
@@ -210,5 +242,10 @@ def test_compute_transfer_dispatch():
     assert compute_transfer(barrier(), 1.0).backend == "stack"
     assert compute_transfer(scarf2(), 1.0, tol=1e-8).backend == "ode"
     assert compute_transfer(barrier(), 1.0, backend="ode", tol=1e-8).backend == "ode"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown backend"):
         compute_transfer(barrier(), 1.0, backend="nope")
+    assert resolve_backend(free(), "auto") == "stack"
+    assert resolve_backend(scarf2(), "auto") == "ode"
+    assert resolve_backend(scarf2(), "stack") == "stack"
+    with pytest.raises(ValueError, match="unknown backend"):
+        resolve_backend(barrier(), "both")
