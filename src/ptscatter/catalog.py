@@ -88,12 +88,4 @@ def builtin_potential(name: str, **params) -> Potential:
 
 def corpus() -> dict[str, Potential]:
     """The default-parameter instances used throughout the test suite."""
-    return {
-        "free": free(),
-        "barrier": barrier(),
-        "double-barrier": double_barrier(),
-        "pt-bilayer": pt_bilayer(),
-        "pt-stack4": pt_stack4(),
-        "onesided": onesided(),
-        "scarf2-pt": scarf2(),
-    }
+    return {name: ctor() for name, ctor in _CATALOG.items()}

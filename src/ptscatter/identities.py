@@ -51,26 +51,8 @@ GEN_UNITARITY_R = "GEN_UNITARITY_R"
 R_PHASE_REAL = "R_PHASE_REAL"
 PT_NEGK_R = "PT_NEGK_R"
 
-IDENTITY_IDS = (
-    RECIPROCITY_REAL,
-    UNITARITY_REAL,
-    PT_PSEUDO_UNITARITY,
-    PHASE_SUM_REAL,
-    PHASE_SUM_PT,
-    NEGK_MATRIX,
-    NEGK_AMPLITUDES,
-    D_PHASE,
-    R_NEGK_CONJ,
-    T_NEGK_CONJ,
-    RECIPROCITY_GEN,
-    T_MODULUS_PARITY,
-    GEN_UNITARITY_L,
-    GEN_UNITARITY_R,
-    R_PHASE_REAL,
-    PT_NEGK_R,
-)
-
-# symmetry classes whose members are guaranteed to satisfy each identity
+# symmetry classes whose members are guaranteed to satisfy each identity, in
+# catalog order: report entries and table columns follow this order
 _CLAIMED_FOR = {
     RECIPROCITY_REAL: ("real", "even"),
     UNITARITY_REAL: ("real",),
@@ -89,6 +71,7 @@ _CLAIMED_FOR = {
     R_PHASE_REAL: ("real",),
     PT_NEGK_R: ("real", "pt"),
 }
+IDENTITY_IDS = tuple(_CLAIMED_FOR)
 
 
 @dataclass(frozen=True)
@@ -373,56 +356,41 @@ def identity_report(
         s_k = replace(s_k, phases=phases(s_k, pt_symmetric=sym.is_pt_symmetric))
     ph = s_k.phases
 
-    entries: list[IdentityEntry] = []
-
-    def add(identity, residual, note=""):
-        applicable, why = _is_claimed(identity, sym)
-        entries.append(IdentityEntry(identity, residual, applicable,
-                                     note if note else why))
-
-    def add_inapplicable(identity, reason):
-        entries.append(IdentityEntry(identity, None, False, reason))
-
-    # NEGK_MATRIX needs only the two matrices
-    add(NEGK_MATRIX, residual_negk_matrix(m_k, m_negk))
-
-    both_finite = s_k.finite and s_negk.finite
-    if not both_finite:
-        reason = "non-finite amplitudes (spectral singularity or overflow)"
-        for identity in IDENTITY_IDS:
-            if identity != NEGK_MATRIX:
-                add_inapplicable(identity, reason)
-        return IdentityReport(float(k), tuple(entries), s_k, s_negk, sym)
-
-    add(RECIPROCITY_REAL, residual_reciprocity_real(s_k))
-    add(UNITARITY_REAL, residual_unitarity_real(s_k))
-    add(PT_PSEUDO_UNITARITY, residual_pt_pseudo_unitarity(s_k)[0])
-    add(D_PHASE, residual_d_phase(s_k))
-    add(R_NEGK_CONJ, residual_r_negk_conj(s_k, s_negk))
-    add(T_NEGK_CONJ, residual_t_parity(s_k, s_negk)[1])
-    add(T_MODULUS_PARITY, residual_t_parity(s_k, s_negk)[0])
-    add(RECIPROCITY_GEN, residual_reciprocity_gen(s_k, s_negk))
-    add(GEN_UNITARITY_L, residual_generalized_unitarity(s_k, s_negk, "left"))
-    add(GEN_UNITARITY_R, residual_generalized_unitarity(s_k, s_negk, "right"))
-    add(R_PHASE_REAL, residual_r_phase_real(s_k))
-    add(PT_NEGK_R, residual_pt_negk_r(s_k, s_negk))
-
-    if abs(s_k.D) <= D_FLOOR:
-        add_inapplicable(NEGK_AMPLITUDES, f"|D| = {abs(s_k.D):.2e} below floor")
-    else:
-        add(NEGK_AMPLITUDES, max(residual_negk_amplitudes(s_k, s_negk)))
-
-    if ph.lam is None or ph.rho is None or ph.tau is None:
+    # identity -> residual, or the reason it cannot be computed
+    found: dict[str, float | str] = dict.fromkeys(
+        IDENTITY_IDS, "non-finite amplitudes (spectral singularity or overflow)")
+    found[NEGK_MATRIX] = residual_negk_matrix(m_k, m_negk)  # needs only the two matrices
+    if s_k.finite and s_negk.finite:
+        t_modulus, t_conj = residual_t_parity(s_k, s_negk)
+        found.update({
+            RECIPROCITY_REAL: residual_reciprocity_real(s_k),
+            UNITARITY_REAL: residual_unitarity_real(s_k),
+            PT_PSEUDO_UNITARITY: residual_pt_pseudo_unitarity(s_k)[0],
+            D_PHASE: residual_d_phase(s_k),
+            R_NEGK_CONJ: residual_r_negk_conj(s_k, s_negk),
+            T_NEGK_CONJ: t_conj,
+            T_MODULUS_PARITY: t_modulus,
+            RECIPROCITY_GEN: residual_reciprocity_gen(s_k, s_negk),
+            GEN_UNITARITY_L: residual_generalized_unitarity(s_k, s_negk, "left"),
+            GEN_UNITARITY_R: residual_generalized_unitarity(s_k, s_negk, "right"),
+            R_PHASE_REAL: residual_r_phase_real(s_k),
+            PT_NEGK_R: residual_pt_negk_r(s_k, s_negk),
+        })
+        if abs(s_k.D) <= D_FLOOR:
+            found[NEGK_AMPLITUDES] = f"|D| = {abs(s_k.D):.2e} below floor"
+        else:
+            found[NEGK_AMPLITUDES] = max(residual_negk_amplitudes(s_k, s_negk))
         missing = [name for name, val in
                    (("lambda", ph.lam), ("rho", ph.rho), ("tau", ph.tau)) if val is None]
-        reason = f"reflectionless: {'/'.join(missing)} below floor"
-        add_inapplicable(PHASE_SUM_REAL, reason)
-        add_inapplicable(PHASE_SUM_PT, reason)
-    else:
-        real_res, pt_res = residual_phase_sums(ph)
-        add(PHASE_SUM_REAL, real_res)
-        add(PHASE_SUM_PT, pt_res)
+        if missing:
+            found[PHASE_SUM_REAL] = found[PHASE_SUM_PT] = \
+                f"reflectionless: {'/'.join(missing)} below floor"
+        else:
+            found[PHASE_SUM_REAL], found[PHASE_SUM_PT] = residual_phase_sums(ph)
 
-    order = {identity: i for i, identity in enumerate(IDENTITY_IDS)}
-    entries.sort(key=lambda e: order[e.identity])
-    return IdentityReport(float(k), tuple(entries), s_k, s_negk, sym)
+    entries = tuple(
+        IdentityEntry(identity, None, False, value) if isinstance(value, str)
+        else IdentityEntry(identity, value, *_is_claimed(identity, sym))
+        for identity, value in found.items()
+    )
+    return IdentityReport(float(k), entries, s_k, s_negk, sym)

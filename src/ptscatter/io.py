@@ -12,6 +12,7 @@ import csv
 import io as _io
 import json
 import math
+from dataclasses import asdict, replace
 
 from .identities import IDENTITY_IDS, IdentityEntry, IdentityReport, PhaseRecord
 from .potentials import SymmetryClass
@@ -55,6 +56,31 @@ def _j2c(obj) -> complex:
     return complex(obj["re"], obj["im"])
 
 
+def _write_csv(columns, rows) -> str:
+    """Header row, then each row of cells as it is produced."""
+    buf = _io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _read_csv(text: str, columns, table: str):
+    """Check the header, then yield one column -> cell dict per record."""
+    reader = csv.reader(_io.StringIO(text))
+    header = next(reader, [])  # empty text has no header row
+    if tuple(header) != columns:
+        raise ValueError(f"unexpected {table} CSV header: {header}")
+    return (dict(zip(columns, rec)) for rec in reader)
+
+
+def _read_json(text: str, doc_type: str):
+    doc = json.loads(text)
+    if doc.get("type") != doc_type:
+        raise ValueError(f"not a {doc_type} document")
+    return doc
+
+
 # --- sweep tables -----------------------------------------------------------
 
 SWEEP_COLUMNS = (
@@ -89,23 +115,11 @@ def _scattering_from_cells(cells: dict[str, str]) -> ScatteringData:
 
 
 def sweep_to_csv(sw: SweepResult) -> str:
-    buf = _io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(SWEEP_COLUMNS)
-    for s in sw.rows:
-        w.writerow(_scattering_row(s))
-    return buf.getvalue()
+    return _write_csv(SWEEP_COLUMNS, map(_scattering_row, sw.rows))
 
 
 def sweep_from_csv(text: str) -> SweepResult:
-    rows = []
-    reader = csv.reader(_io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != SWEEP_COLUMNS:
-        raise ValueError(f"unexpected sweep CSV header: {header}")
-    for rec in reader:
-        cells = dict(zip(SWEEP_COLUMNS, rec))
-        rows.append(_scattering_from_cells(cells))
+    rows = map(_scattering_from_cells, _read_csv(text, SWEEP_COLUMNS, "sweep"))
     return SweepResult(tuple(rows), ())
 
 
@@ -135,9 +149,7 @@ def sweep_to_json(sw: SweepResult) -> str:
 
 
 def sweep_from_json(text: str) -> SweepResult:
-    doc = json.loads(text)
-    if doc.get("type") != "sweep":
-        raise ValueError("not a sweep document")
+    doc = _read_json(text, "sweep")
     rows = tuple(_scattering_from_json(o) for o in doc["rows"])
     errors = tuple((float(k), str(m)) for k, m in doc["errors"])
     return SweepResult(rows, errors)
@@ -145,95 +157,59 @@ def sweep_from_json(text: str) -> SweepResult:
 
 # --- identity reports -------------------------------------------------------
 
-REPORT_COLUMNS = (
-    "k", "re_T", "im_T", "re_R_left", "im_R_left", "re_R_right", "im_R_right",
-    "abs2_T", "abs2_R_left", "abs2_R_right", "re_D", "im_D",
-    "tau", "lambda", "rho", "m1", "m2",
-) + IDENTITY_IDS
+# the first 12 sweep columns (k and the amplitudes), then phases and residuals
+REPORT_COLUMNS = SWEEP_COLUMNS[:12] + ("tau", "lambda", "rho", "m1", "m2") + IDENTITY_IDS
 
 LONG_REPORT_COLUMNS = ("k", "identity", "residual", "applicable", "note")
 
 
 def _report_row(r: IdentityReport) -> list[str]:
-    s = r.scattering
-    ph = s.phases
-    cells = [
-        _fmt(r.k),
-        _fmt(s.T.real), _fmt(s.T.imag),
-        _fmt(s.R_left.real), _fmt(s.R_left.imag),
-        _fmt(s.R_right.real), _fmt(s.R_right.imag),
-        _fmt(abs(s.T) ** 2), _fmt(abs(s.R_left) ** 2), _fmt(abs(s.R_right) ** 2),
-        _fmt(s.D.real), _fmt(s.D.imag),
-        _fmt(ph.tau if ph else None), _fmt(ph.lam if ph else None),
-        _fmt(ph.rho if ph else None),
-        _fmt(ph.m1 if ph else None), _fmt(ph.m2 if ph else None),
-    ]
-    by_id = {e.identity: e for e in r.entries}
-    for identity in IDENTITY_IDS:
-        e = by_id.get(identity)
-        cells.append(_fmt(e.residual if e else None))
-    return cells
+    ph = r.scattering.phases
+    residuals = {e.identity: e.residual for e in r.entries}
+    return (_scattering_row(r.scattering)[:12]
+            + [_fmt(getattr(ph, name) if ph else None)
+               for name in ("tau", "lam", "rho", "m1", "m2")]
+            + [_fmt(residuals.get(identity)) for identity in IDENTITY_IDS])
 
 
 def reports_to_csv(reports) -> str:
-    """Wide table: one row per k, one column per identity residual."""
-    buf = _io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(REPORT_COLUMNS)
-    for r in reports:
-        w.writerow(_report_row(r) if isinstance(r, IdentityReport) else
-                   [_fmt(r.get(c)) if not isinstance(r.get(c), str) else r[c]
-                    for c in REPORT_COLUMNS])
-    return buf.getvalue()
+    """Wide table: one row per k, one column per identity residual.
+
+    Rows are IdentityReports, or the dicts reports_from_csv returns.
+    """
+    return _write_csv(REPORT_COLUMNS, (
+        _report_row(r) if isinstance(r, IdentityReport)
+        else [_fmt(r.get(c)) for c in REPORT_COLUMNS]
+        for r in reports))
 
 
 def reports_from_csv(text: str) -> list[dict]:
     """Parse the wide table back into row dicts (the columns the CSV carries)."""
-    reader = csv.reader(_io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != REPORT_COLUMNS:
-        raise ValueError(f"unexpected report CSV header: {header}")
-    out = []
-    for rec in reader:
-        cells = dict(zip(REPORT_COLUMNS, rec))
-        row: dict = {}
-        for col, cell in cells.items():
-            if col in ("m1", "m2"):
-                row[col] = _parse_opt_int(cell)
-            else:
-                row[col] = _parse_opt_float(cell)
-        out.append(row)
-    return out
+    return [
+        {col: _parse_opt_int(cell) if col in ("m1", "m2") else _parse_opt_float(cell)
+         for col, cell in cells.items()}
+        for cells in _read_csv(text, REPORT_COLUMNS, "report")
+    ]
 
 
 def reports_to_long_csv(reports) -> str:
     """Long table: one row per (k, identity), with applicability and notes."""
-    buf = _io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(LONG_REPORT_COLUMNS)
-    for r in reports:
-        for e in r.entries:
-            w.writerow([_fmt(r.k), e.identity, _fmt(e.residual),
-                        _fmt(e.applicable), e.note])
-    return buf.getvalue()
+    return _write_csv(LONG_REPORT_COLUMNS, (
+        [_fmt(r.k), e.identity, _fmt(e.residual), _fmt(e.applicable), e.note]
+        for r in reports for e in r.entries))
 
 
 def reports_from_long_csv(text: str) -> list[dict]:
-    reader = csv.reader(_io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != LONG_REPORT_COLUMNS:
-        raise ValueError(f"unexpected long report CSV header: {header}")
-    out = []
-    for rec in reader:
-        cells = dict(zip(LONG_REPORT_COLUMNS, rec))
-        out.append({
+    return [
+        {
             "k": float(cells["k"]),
             "identity": cells["identity"],
             "residual": _parse_opt_float(cells["residual"]),
             "applicable": _parse_bool(cells["applicable"]),
             "note": cells["note"],
-        })
-    return out
+        }
+        for cells in _read_csv(text, LONG_REPORT_COLUMNS, "long report")
+    ]
 
 
 def _phases_json(ph: PhaseRecord | None):
@@ -256,30 +232,11 @@ def _phases_from_json(obj) -> PhaseRecord | None:
     )
 
 
-def _symmetry_json(sym: SymmetryClass):
-    return {
-        "is_real": sym.is_real, "is_even": sym.is_even,
-        "is_pt_symmetric": sym.is_pt_symmetric,
-        "real_violation": sym.real_violation, "even_violation": sym.even_violation,
-        "pt_violation": sym.pt_violation, "tol": sym.tol,
-    }
-
-
-def _symmetry_from_json(obj) -> SymmetryClass:
-    return SymmetryClass(
-        is_real=obj["is_real"], is_even=obj["is_even"],
-        is_pt_symmetric=obj["is_pt_symmetric"],
-        real_violation=obj["real_violation"], even_violation=obj["even_violation"],
-        pt_violation=obj["pt_violation"], tol=obj["tol"],
-    )
-
-
 def reports_to_json(reports) -> str:
-    docs = []
-    for r in reports:
-        docs.append({
+    docs = [
+        {
             "k": r.k,
-            "symmetry": _symmetry_json(r.symmetry),
+            "symmetry": asdict(r.symmetry),
             "scattering": _scattering_json(r.scattering),
             "scattering_negk": _scattering_json(r.scattering_negk),
             "phases": _phases_json(r.scattering.phases),
@@ -288,33 +245,24 @@ def reports_to_json(reports) -> str:
                  "applicable": e.applicable, "note": e.note}
                 for e in r.entries
             ],
-        })
+        }
+        for r in reports
+    ]
     return json.dumps({"type": "verify", "reports": docs}, indent=2)
 
 
 def reports_from_json(text: str) -> list[IdentityReport]:
-    doc = json.loads(text)
-    if doc.get("type") != "verify":
-        raise ValueError("not a verify document")
-    out = []
-    for obj in doc["reports"]:
-        s = _scattering_from_json(obj["scattering"])
-        ph = _phases_from_json(obj["phases"])
-        if ph is not None:
-            from dataclasses import replace
-
-            s = replace(s, phases=ph)
-        out.append(IdentityReport(
+    return [
+        IdentityReport(
             k=obj["k"],
-            entries=tuple(
-                IdentityEntry(e["identity"], e["residual"], e["applicable"], e["note"])
-                for e in obj["entries"]
-            ),
-            scattering=s,
+            entries=tuple(IdentityEntry(**e) for e in obj["entries"]),
+            scattering=replace(_scattering_from_json(obj["scattering"]),
+                               phases=_phases_from_json(obj["phases"])),
             scattering_negk=_scattering_from_json(obj["scattering_negk"]),
-            symmetry=_symmetry_from_json(obj["symmetry"]),
-        ))
-    return out
+            symmetry=SymmetryClass(**obj["symmetry"]),
+        )
+        for obj in _read_json(text, "verify")["reports"]
+    ]
 
 
 # --- scan results -----------------------------------------------------------
@@ -324,58 +272,37 @@ SCAN_COLUMNS = ("kind", "k_star", "residual", "bracket_lo", "bracket_hi",
 
 
 def scan_to_csv(res: ScanResult) -> str:
-    buf = _io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(SCAN_COLUMNS)
-    for f in res.features:
-        w.writerow([f.kind, _fmt(f.k_star), _fmt(f.residual),
-                    _fmt(f.bracket[0]), _fmt(f.bracket[1]),
-                    _fmt(f.boundary_warning), f.note])
-    return buf.getvalue()
+    return _write_csv(SCAN_COLUMNS, (
+        [f.kind, _fmt(f.k_star), _fmt(f.residual), _fmt(f.bracket[0]), _fmt(f.bracket[1]),
+         _fmt(f.boundary_warning), f.note]
+        for f in res.features))
 
 
 def scan_from_csv(text: str) -> tuple[Feature, ...]:
-    reader = csv.reader(_io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != SCAN_COLUMNS:
-        raise ValueError(f"unexpected scan CSV header: {header}")
-    feats = []
-    for rec in reader:
-        cells = dict(zip(SCAN_COLUMNS, rec))
-        feats.append(Feature(
+    return tuple(
+        Feature(
             kind=cells["kind"], k_star=float(cells["k_star"]),
             residual=float(cells["residual"]),
             bracket=(float(cells["bracket_lo"]), float(cells["bracket_hi"])),
             boundary_warning=_parse_bool(cells["boundary_warning"]),
             note=cells["note"],
-        ))
-    return tuple(feats)
+        )
+        for cells in _read_csv(text, SCAN_COLUMNS, "scan")
+    )
 
 
 def scan_to_json(res: ScanResult) -> str:
     doc = {
         "type": "scan",
         "k_min": res.k_min, "k_max": res.k_max, "grid_step": res.grid_step,
-        "features": [
-            {"kind": f.kind, "k_star": f.k_star, "residual": f.residual,
-             "bracket": [f.bracket[0], f.bracket[1]],
-             "boundary_warning": f.boundary_warning, "note": f.note}
-            for f in res.features
-        ],
+        "features": [asdict(f) for f in res.features],
     }
     return json.dumps(doc, indent=2)
 
 
 def scan_from_json(text: str) -> ScanResult:
-    doc = json.loads(text)
-    if doc.get("type") != "scan":
-        raise ValueError("not a scan document")
-    feats = tuple(
-        Feature(kind=o["kind"], k_star=o["k_star"], residual=o["residual"],
-                bracket=(o["bracket"][0], o["bracket"][1]),
-                boundary_warning=o["boundary_warning"], note=o["note"])
-        for o in doc["features"]
-    )
+    doc = _read_json(text, "scan")
+    feats = tuple(Feature(**{**o, "bracket": tuple(o["bracket"])}) for o in doc["features"])
     return ScanResult(feats, doc["k_min"], doc["k_max"], doc["grid_step"])
 
 

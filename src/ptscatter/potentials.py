@@ -294,8 +294,11 @@ def parse_potential_spec(text: str) -> Potential:
         for i, layer in enumerate(layers):
             if not isinstance(layer, dict) or "width" not in layer:
                 raise PotentialError(f"layer {i}: expected an object with a 'width' field")
-            values.append(complex(float(layer.get("re", 0.0)), float(layer.get("im", 0.0))))
-            widths.append(layer["width"])
+            try:
+                values.append(complex(float(layer.get("re", 0.0)), float(layer.get("im", 0.0))))
+                widths.append(float(layer["width"]))
+            except (TypeError, ValueError) as exc:
+                raise PotentialError(f"layer {i}: malformed number: {exc}") from exc
         x0 = doc.get("x0", 0.0)
         if not isinstance(x0, (int, float)):
             raise PotentialError("'x0' must be a number")

@@ -94,16 +94,27 @@ def sweep(p: Potential, k_grid, backend: str = "auto",
     return SweepResult(tuple(rows), tuple(errors))
 
 
-def _objective_grid(p, ks, backend, tol, extract):
-    """|extract(M)|^2 on the grid, vectorized through the stack kernel when possible."""
+# the quantity whose modulus vanishes at each located feature kind, from M's entries
+_OBJECTIVES = {
+    SPECTRAL_SINGULARITY: lambda m11, m12, m21, m22: m22,
+    REFLECTIONLESS_LEFT: lambda m11, m12, m21, m22: -m21 / m22,
+    REFLECTIONLESS_RIGHT: lambda m11, m12, m21, m22: m12 / m22,
+}
+
+
+def _grid_matrices(p, ks, backend, tol):
+    """M on the grid: one stack-kernel array, or one ODE TransferMatrix per k."""
     if resolve_backend(p, backend) == STACK:
-        mats = stack_matrices(p, ks)
+        return stack_matrices(p, ks)
+    return [compute_transfer(p, float(k), backend, tol) for k in ks]
+
+
+def _grid_objective(mats, kind) -> np.ndarray:
+    """|objective|^2 per grid k: numpy on the stack columns, Python complex per ODE matrix."""
+    extract = _OBJECTIVES[kind]
+    if isinstance(mats, np.ndarray):
         return np.abs(extract(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])) ** 2
-    vals = []
-    for k in ks:
-        m = compute_transfer(p, float(k), backend, tol)
-        vals.append(abs(extract(m.m11, m.m12, m.m21, m.m22)) ** 2)
-    return np.asarray(vals)
+    return np.asarray([abs(extract(m.m11, m.m12, m.m21, m.m22)) ** 2 for m in mats])
 
 
 def _objective_scalar(p, k, backend, tol, extract):
@@ -147,6 +158,15 @@ def _k_grid(k_min, k_max, grid_step):
     return ks[ks <= k_max + 1e-12 * max(1.0, k_max)]
 
 
+def _refined_zeros(p, ks, values, kind, tol, backend, ode_tol):
+    """(k*, refined modulus, bracket) per grid minimum accepted as a zero of kind's objective."""
+    for i in _local_minima(values):
+        triple = (float(ks[i - 1]), float(ks[i]), float(ks[i + 1]))
+        k_star, resid, bracket = _refine(p, triple, backend, ode_tol, tol, _OBJECTIVES[kind])
+        if resid <= ACCEPTANCE_FLOOR:
+            yield k_star, resid, bracket
+
+
 def find_spectral_singularities(
     p: Potential, k_min: float, k_max: float, grid_step: float,
     tol: float = DEFAULT_REFINE_TOL, backend: str = "auto",
@@ -159,20 +179,15 @@ def find_spectral_singularities(
     below the acceptance floor. Real potentials cannot host such zeros, so
     scanning them is expected to return an empty feature list.
     """
-    extract = lambda m11, m12, m21, m22: m22
     ks = _k_grid(k_min, k_max, grid_step)
-    grid_vals = _objective_grid(p, ks, backend, ode_tol, extract)
-    features = []
-    for i in _local_minima(grid_vals):
-        triple = (float(ks[i - 1]), float(ks[i]), float(ks[i + 1]))
-        k_star, resid, bracket = _refine(p, triple, backend, ode_tol, tol, extract)
-        if resid <= ACCEPTANCE_FLOOR:
-            features.append(Feature(
-                kind=SPECTRAL_SINGULARITY, k_star=k_star, residual=resid,
-                bracket=bracket,
-                boundary_warning=(k_star - k_min < grid_step or k_max - k_star < grid_step),
-            ))
-    return ScanResult(tuple(features), k_min, k_max, grid_step)
+    values = _grid_objective(_grid_matrices(p, ks, backend, ode_tol), SPECTRAL_SINGULARITY)
+    features = tuple(
+        Feature(kind=SPECTRAL_SINGULARITY, k_star=k_star, residual=resid, bracket=bracket,
+                boundary_warning=(k_star - k_min < grid_step or k_max - k_star < grid_step))
+        for k_star, resid, bracket in _refined_zeros(
+            p, ks, values, SPECTRAL_SINGULARITY, tol, backend, ode_tol)
+    )
+    return ScanResult(features, k_min, k_max, grid_step)
 
 
 def check_invisibility(feature: Feature, s: ScatteringData) -> bool:
@@ -203,24 +218,17 @@ def find_unidirectional_points(
     zeros and reports no features.
     """
     sides = (
-        (REFLECTIONLESS_LEFT, INVISIBLE_LEFT,
-         lambda m11, m12, m21, m22: -m21 / m22,
-         lambda s: abs(s.R_right)),
-        (REFLECTIONLESS_RIGHT, INVISIBLE_RIGHT,
-         lambda m11, m12, m21, m22: m12 / m22,
-         lambda s: abs(s.R_left)),
+        (REFLECTIONLESS_LEFT, INVISIBLE_LEFT, lambda s: abs(s.R_right)),
+        (REFLECTIONLESS_RIGHT, INVISIBLE_RIGHT, lambda s: abs(s.R_left)),
     )
     ks = _k_grid(k_min, k_max, grid_step)
+    mats = _grid_matrices(p, ks, backend, ode_tol)  # shared by both sides
     features = []
-    for kind, invisible_kind, extract, opposite in sides:
-        grid_vals = _objective_grid(p, ks, backend, ode_tol, extract)
-        if np.all(np.sqrt(grid_vals) < ACCEPTANCE_FLOOR):
+    for kind, invisible_kind, opposite in sides:
+        values = _grid_objective(mats, kind)
+        if np.all(np.sqrt(values) < ACCEPTANCE_FLOOR):
             continue  # reflectionless everywhere on this side: no isolated features
-        for i in _local_minima(grid_vals):
-            triple = (float(ks[i - 1]), float(ks[i]), float(ks[i + 1]))
-            k_star, resid, bracket = _refine(p, triple, backend, ode_tol, tol, extract)
-            if resid > ACCEPTANCE_FLOOR:
-                continue
+        for k_star, resid, bracket in _refined_zeros(p, ks, values, kind, tol, backend, ode_tol):
             s = scattering_data(compute_transfer(p, k_star, backend, ode_tol))
             if not s.finite:
                 continue

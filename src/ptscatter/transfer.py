@@ -155,11 +155,18 @@ def stack_matrices(p: Potential, ks) -> np.ndarray:
 
 
 def _ode_segments(p: Potential) -> list[tuple[float, float]]:
-    """Integration pieces: one per layer or per linear piece between samples."""
+    """Integration pieces: one per layer, or per run of samples on one straight line.
+
+    Sample runs split only where the slope changes (compared exactly), so
+    constant and collinear stretches are one piece and every kink starts one.
+    """
     if isinstance(p, LayerPotential) and p.values:
         e = p.edges
     elif isinstance(p, SampledPotential):
-        e = p.xs
+        xs = np.asarray(p.xs)
+        slope = np.diff(np.asarray(p.vs)) / np.diff(xs)
+        kinks = np.nonzero(slope[1:] != slope[:-1])[0] + 1
+        e = xs[np.concatenate(([0], kinks, [xs.size - 1]))]
     else:
         return [p.support_interval()]
     return [(float(a), float(b)) for a, b in zip(e[:-1], e[1:])]
@@ -172,8 +179,8 @@ def transfer_matrix_ode(p: Potential, k: float, tol: float = DEFAULT_ODE_TOL) ->
     (valid because v vanishes outside the support); (A_plus, B_plus) are read
     off psi and psi' at the right edge. Both columns are propagated in one
     4-component complex system. Integration restarts at layer boundaries and
-    at sample abscissae, so the adaptive controller never steps across a jump
-    or a kink of the profile.
+    at the sample abscissae where the slope changes, so the adaptive
+    controller never steps across a jump or a kink of the profile.
     """
     if k == 0:
         raise ValueError("k = 0: zero-energy scattering is excluded")

@@ -266,6 +266,16 @@ def test_report_at_spectral_singularity_is_flagged():
             assert "non-finite" in e.note
 
 
+@pytest.mark.parametrize("pot,k", [
+    (LayerPotential((10000.0,), (10.0,), -5.0), 1.0),  # opaque: M overflows
+    (pt_bilayer(gamma=2.071737124880286), 1.064682550561970),  # spectral singularity
+])
+def test_report_nonfinite_entries_follow_catalog_order(pot, k):
+    r = identity_report(pot, k)
+    assert not r.scattering.finite
+    assert [e.identity for e in r.entries] == list(IDENTITY_IDS)
+
+
 def test_entry_lookup_raises_for_unknown_id():
     r = identity_report(free(), 1.0)
     with pytest.raises(KeyError):

@@ -101,6 +101,28 @@ def test_scan_csv_roundtrip_exact_features():
     assert rebuilt == text
 
 
+@pytest.mark.parametrize("reader,message", [
+    (tables.sweep_from_csv, "unexpected sweep CSV header"),
+    (tables.reports_from_csv, "unexpected report CSV header"),
+    (tables.reports_from_long_csv, "unexpected long report CSV header"),
+    (tables.scan_from_csv, "unexpected scan CSV header"),
+])
+@pytest.mark.parametrize("text", ["k,identity\n1,NEGK_MATRIX\n", ""])
+def test_csv_readers_reject_foreign_header(reader, message, text):
+    with pytest.raises(ValueError, match=message):
+        reader(text)
+
+
+@pytest.mark.parametrize("reader,doc_type", [
+    (tables.sweep_from_json, "sweep"),
+    (tables.reports_from_json, "verify"),
+    (tables.scan_from_json, "scan"),
+])
+def test_json_readers_reject_foreign_type(reader, doc_type):
+    with pytest.raises(ValueError, match=f"not a {doc_type} document"):
+        reader(json.dumps({"type": "other", "rows": [], "reports": [], "features": []}))
+
+
 def test_seventeen_digit_floats_roundtrip():
     rng = np.random.default_rng(33)
     for x in rng.normal(scale=10.0 ** rng.integers(-8, 8, size=200), size=200):
@@ -259,6 +281,13 @@ def test_cli_usage_errors_exit_two(pot_files, capsys, tmp_path):
     capsys.readouterr()
     assert run_command(["nonsense"]) == 2
     capsys.readouterr()
+
+
+def test_malformed_layer_field_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"layers":[{"re":null,"width":1}]}')
+    assert run_command(["verify", "--potential", str(bad), "--k", "1.0"]) == 2
+    assert "layer 0" in capsys.readouterr().err
 
 
 def test_verify_exit_matches_report_contents(pot_files, capsys):

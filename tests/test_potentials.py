@@ -153,6 +153,9 @@ def test_parse_samples_document():
     ('{"samples":[{"x":1,"re":0}]}', "2 samples"),
     ('{"layers":[],"family":"scarf2"}', "exactly one"),
     ('[1,2]', "object"),
+    ('{"layers":[{"re":null,"width":1}]}', "layer 0"),
+    ('{"layers":[{"re":1,"width":null}]}', "layer 0"),
+    ('{"layers":[{"re":1,"width":[1]}]}', "layer 0"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(PotentialError, match=fragment):

@@ -11,7 +11,7 @@ from ptscatter import (
     scattering_at,
     sweep,
 )
-from ptscatter import scan
+from ptscatter import SampledPotential, scan, transfer
 from ptscatter.catalog import barrier, free, onesided, pt_bilayer, pt_stack4, scarf2
 from ptscatter.scan import (
     BIDIRECTIONAL_REFLECTIONLESS,
@@ -210,3 +210,20 @@ def test_boundary_warning_near_edge():
 def test_onesided_scan_runs_clean():
     res = find_spectral_singularities(onesided(), 0.5, 3.0, 0.05)
     assert res.features == ()
+
+
+def test_unidirectional_scan_integrates_each_grid_k_once(monkeypatch):
+    # both reflection sides read one M per grid k; refinement is switched off
+    # so every integration counted here is a grid evaluation
+    integrated = []
+    ode = transfer.transfer_matrix_ode
+
+    def counting_ode(p, k, *args):
+        integrated.append(k)
+        return ode(p, k, *args)
+
+    monkeypatch.setattr(transfer, "transfer_matrix_ode", counting_ode)
+    monkeypatch.setattr(scan, "_local_minima", lambda values: np.array([], dtype=int))
+    bump = SampledPotential((-1.0, 0.0, 1.0), (0.0, 1.0 + 0.5j, 0.0))
+    find_unidirectional_points(bump, 0.5, 0.9, 0.1, backend="ode")
+    assert integrated == pytest.approx([0.5, 0.6, 0.7, 0.8, 0.9])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from ptscatter import transfer
 from ptscatter import (
     BackendError,
     LayerPotential,
@@ -148,6 +149,26 @@ def test_ode_sampled_bump_matches_piecewise_reference():
     k = 0.5
     m = transfer_matrix_ode(SampledPotential(tuple(xs), tuple(vs)), k, 1e-10).as_array()
     assert np.max(np.abs(m - _piecewise_linear_reference(xs, vs, k))) <= 1e-9
+
+
+def test_ode_restarts_only_at_slope_changes(monkeypatch):
+    # a sampled step is constant on each side of one jump cell: three pieces,
+    # not one per sample interval; a tent adds one restart at its apex
+    calls = []
+
+    def counting_solve_ivp(fun, t_span, *args, **kwargs):
+        calls.append(t_span)
+        return solve_ivp(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(transfer, "solve_ivp", counting_solve_ivp)
+    xs = np.linspace(-1.0, 1.0, 41)
+    step = SampledPotential(tuple(xs), tuple(np.where(xs < 0, 0.5j, -0.5j)))
+    transfer_matrix_ode(step, 1.0, 1e-10)
+    assert calls == [(-1.0, xs[19]), (xs[19], 0.0), (0.0, 1.0)]
+    calls.clear()
+    tent = SampledPotential((-1.0, -0.5, 0.0, 0.5, 1.0), (0.0, 0.5, 1.0, 0.5, 0.0))
+    transfer_matrix_ode(tent, 1.0, 1e-10)
+    assert calls == [(-1.0, 0.0), (0.0, 1.0)]
 
 
 def test_ode_scarf2_unit_determinant():

@@ -1,0 +1,74 @@
+"""Fingerprint the CLI's output on the built-in corpus, one line per run.
+
+Runs `sweep`, `verify` and `scan` in-process (through `cli.run_command`) on
+the seven `catalog.corpus()` potentials, each given as the spec
+{"family": NAME}, and prints for every run its argv, exit code, and the
+sha256 of stdout and of stderr. Two checkouts whose lines are identical give
+byte-identical tables, diagnostics and exit codes on this matrix:
+
+    PYTHONPATH=<checkout>/src python tools/corpus_digest.py > digest.txt
+
+Python warnings are silenced, because their text carries the checkout path.
+The potential file's path is printed as <NAME>.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import warnings
+
+from ptscatter.catalog import corpus
+from ptscatter.cli import run_command
+
+DENSE_SWEEP, SPARSE_SWEEP = "0.3:3.0:200", "0.3:3.0:7"
+DENSE_VERIFY, SPARSE_VERIFY = "0.3:3.0:9", "0.4:2.9:3"
+DENSE_SCAN, SPARSE_SCAN = "0.3:3.0:271", "0.3:3.0:10"
+ODE_ONLY = "scarf2-pt"  # the one analytic profile: every run integrates the ODE
+
+
+def runs(name: str):
+    """(argv without --potential) of every run on one corpus potential."""
+    ode_only = name == ODE_ONLY
+    for backend in ("auto", "stack", "ode", "both"):
+        k_range = SPARSE_SWEEP if ode_only or backend in ("ode", "both") else DENSE_SWEEP
+        for fmt in ("csv", "json"):
+            yield ["sweep", "--backend", backend, "--format", fmt, "--k-range", k_range]
+    for backend in ("auto", "both"):
+        k_range = SPARSE_VERIFY if ode_only or backend == "both" else DENSE_VERIFY
+        for extra in ([], ["--long"], ["--format", "json"]):
+            yield ["verify", "--backend", backend, "--k-range", k_range] + extra
+        yield ["verify", "--backend", backend, "--k", "1.0"]
+    k_range = SPARSE_SCAN if ode_only else DENSE_SCAN
+    for extra in ([], ["--format", "json"], ["--backend", "both"]):
+        yield ["scan", "--k-range", k_range] + extra
+
+
+def digest(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    return code, sha(out.getvalue()), sha(err.getvalue())
+
+
+def main() -> int:
+    warnings.simplefilter("ignore")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in corpus():
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"family": name}, fh)
+            for args in runs(name):
+                code, out, err = digest([args[0], "--potential", path] + args[1:])
+                shown = " ".join([args[0], "--potential", f"<{name}>"] + args[1:])
+                print(f"{shown} | exit {code} | stdout {out} | stderr {err}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
