@@ -44,6 +44,8 @@ def _parse_k_range(spec: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"bad --k-range: {exc}") from exc
     if not (0 < lo < hi) or count < 2:
         raise argparse.ArgumentTypeError("--k-range needs 0 < MIN < MAX and COUNT >= 2")
+    if not np.isfinite(hi):
+        raise argparse.ArgumentTypeError("--k-range needs a finite MAX")
     return np.linspace(lo, hi, count)
 
 
@@ -137,6 +139,8 @@ def _cmd_verify(args) -> int:
     p = _load_potential(args.potential)
     tol = args.tol if args.tol is not None else _default_tol()
     ks = args.k_range if args.k_range is not None else np.array([args.k])
+    if not np.all(np.isfinite(ks)):
+        raise ValueError("verify requires a finite k")
     if np.any(ks <= 0):
         raise ValueError("verify requires k > 0")
     backend_k, backend_negk = _verify_backends(p, args.backend)

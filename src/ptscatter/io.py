@@ -13,6 +13,8 @@ import io as _io
 import json
 import math
 from dataclasses import asdict, replace
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .identities import IDENTITY_IDS, IdentityEntry, IdentityReport, PhaseRecord
 from .potentials import SymmetryClass
@@ -90,16 +92,25 @@ SWEEP_COLUMNS = (
 )
 
 
-def _scattering_row(s: ScatteringData) -> list[str]:
-    return [
-        _fmt(s.k),
-        _fmt(s.T.real), _fmt(s.T.imag),
-        _fmt(s.R_left.real), _fmt(s.R_left.imag),
-        _fmt(s.R_right.real), _fmt(s.R_right.imag),
-        _fmt(abs(s.T) ** 2), _fmt(abs(s.R_left) ** 2), _fmt(abs(s.R_right) ** 2),
-        _fmt(s.D.real), _fmt(s.D.imag),
-        _fmt(s.condition), _fmt(s.finite), s.backend,
-    ]
+def _amplitude_cells(s: ScatteringData) -> tuple[float, ...]:
+    """The values of the first 12 SWEEP_COLUMNS (k and the amplitudes), in column order.
+
+    Adding 0.0 turns -0.0 into 0.0, which prints as "0" just as _fmt writes it.
+    """
+    t, rl, rr, d = s.T, s.R_left, s.R_right, s.D
+    return (s.k + 0.0, t.real + 0.0, t.imag + 0.0, rl.real + 0.0, rl.imag + 0.0,
+            rr.real + 0.0, rr.imag + 0.0, abs(t) ** 2, abs(rl) ** 2, abs(rr) ** 2,
+            d.real + 0.0, d.imag + 0.0)
+
+
+# one sweep row: the 12 amplitude cells and condition as _fmt prints floats, then finite, backend
+_CSV_ROW = ",".join(["%.17g"] * 13 + ["%s", "%s"]) + "\n"
+_BOOL_TEXT = {True: "true", False: "false"}  # as _fmt and json write a bool
+
+
+def _csv_cell(text: str) -> str:
+    """A text cell as csv.writer writes it inside a row (quoted where it must be)."""
+    return _write_csv(("", text), ())[1:-1]
 
 
 def _scattering_from_cells(cells: dict[str, str]) -> ScatteringData:
@@ -115,7 +126,12 @@ def _scattering_from_cells(cells: dict[str, str]) -> ScatteringData:
 
 
 def sweep_to_csv(sw: SweepResult) -> str:
-    return _write_csv(SWEEP_COLUMNS, map(_scattering_row, sw.rows))
+    """The header, then one _CSV_ROW per row: the cells _fmt and csv.writer would write."""
+    backends = {b: _csv_cell(b) for b in {s.backend for s in sw.rows}}
+    return _write_csv(SWEEP_COLUMNS, ()) + "".join(
+        _CSV_ROW % (*_amplitude_cells(s), s.condition + 0.0, _BOOL_TEXT[s.finite],
+                    backends[s.backend])
+        for s in sw.rows)
 
 
 def sweep_from_csv(text: str) -> SweepResult:
@@ -139,13 +155,44 @@ def _scattering_from_json(obj) -> ScatteringData:
     )
 
 
+def _json_row_template() -> str:
+    """One row of sweep_to_json's rows list, indented as it nests there, with %s per value.
+
+    The keys and their order come from encoding a placeholder row through
+    _scattering_json; sweep_to_json fills the slots in that order.
+    """
+    slot = SimpleNamespace(real="\0", imag="\0")
+    placeholder = ScatteringData("\0", slot, slot, slot, slot, "\0", "\0", "\0")
+    text = "\n" + json.dumps(_scattering_json(placeholder), indent=2)
+    return text.replace("\n", "\n    ").replace(json.dumps("\0"), "%s")
+
+
+_JSON_ROW = _json_row_template()
+# str() of a non-finite float, and json's name for it
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _sweep_rows_json(rows):
+    """Each row as json.dumps(..., indent=2) writes it: repr for floats, NaN/Infinity otherwise."""
+    for s in rows:
+        t, rl, rr, d = s.T, s.R_left, s.R_right, s.D
+        values = (s.k, t.real, t.imag, rl.real, rl.imag, rr.real, rr.imag, d.real, d.imag,
+                  _BOOL_TEXT[s.finite], s.condition, encode_basestring_ascii(s.backend))
+        text = _JSON_ROW % values
+        if "nan" in text or "inf" in text:  # a non-finite float, or a backend named so
+            text = _JSON_ROW % tuple(_JSON_NONFINITE.get(v, v) for v in map(str, values))
+        yield text
+
+
 def sweep_to_json(sw: SweepResult) -> str:
-    doc = {
-        "type": "sweep",
-        "rows": [_scattering_json(s) for s in sw.rows],
-        "errors": [[k, msg] for k, msg in sw.errors],
-    }
-    return json.dumps(doc, indent=2)
+    """The text of json.dumps(doc, indent=2), with the rows written from _JSON_ROW."""
+    doc = {"type": "sweep", "rows": [], "errors": [[k, msg] for k, msg in sw.errors]}
+    text = json.dumps(doc, indent=2)
+    if not sw.rows:
+        return text
+    # the first '"rows": []' is the rows key: only "type": "sweep" precedes it
+    rows = '"rows": [' + ",".join(_sweep_rows_json(sw.rows)) + "\n  ]"
+    return text.replace('"rows": []', rows, 1)
 
 
 def sweep_from_json(text: str) -> SweepResult:
@@ -166,7 +213,7 @@ LONG_REPORT_COLUMNS = ("k", "identity", "residual", "applicable", "note")
 def _report_row(r: IdentityReport) -> list[str]:
     ph = r.scattering.phases
     residuals = {e.identity: e.residual for e in r.entries}
-    return (_scattering_row(r.scattering)[:12]
+    return ([_fmt(v) for v in _amplitude_cells(r.scattering)]
             + [_fmt(getattr(ph, name) if ph else None)
                for name in ("tau", "lam", "rho", "m1", "m2")]
             + [_fmt(residuals.get(identity)) for identity in IDENTITY_IDS])

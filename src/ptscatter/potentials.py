@@ -24,13 +24,6 @@ class PotentialError(ValueError):
     """Malformed potential description (construction-time only)."""
 
 
-def _as_complex(value) -> complex:
-    try:
-        return complex(value)
-    except (TypeError, ValueError) as exc:
-        raise PotentialError(f"not a complex number: {value!r}") from exc
-
-
 @dataclass(frozen=True)
 class LayerPotential:
     """Piecewise-constant potential: contiguous slabs left-to-right from x_left.
@@ -48,16 +41,28 @@ class LayerPotential:
     def __post_init__(self):
         if len(self.values) != len(self.widths):
             raise PotentialError("values and widths must have equal length")
-        if not np.isfinite(self.x_left):
+        try:
+            x_left = float(self.x_left)
+        except (TypeError, ValueError) as exc:
+            raise PotentialError(f"x_left: malformed number: {exc}") from exc
+        if not np.isfinite(x_left):
             raise PotentialError("x_left must be finite")
-        for i, w in enumerate(self.widths):
+        values, widths = [], []
+        for i, (v, w) in enumerate(zip(self.values, self.widths)):
+            try:
+                values.append(complex(v))
+                widths.append(float(w))
+            except (TypeError, ValueError) as exc:
+                raise PotentialError(f"layer {i}: malformed number: {exc}") from exc
+        for i, w in enumerate(widths):
             if not (np.isfinite(w) and w > 0):
                 raise PotentialError(f"layer {i}: width must be positive and finite, got {w}")
-        for i, v in enumerate(self.values):
-            if not np.isfinite(complex(v)):
+        for i, v in enumerate(values):
+            if not np.isfinite(v):
                 raise PotentialError(f"layer {i}: non-finite value {v}")
-        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
-        object.__setattr__(self, "widths", tuple(float(w) for w in self.widths))
+        object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "widths", tuple(widths))
+        object.__setattr__(self, "x_left", x_left)
 
     @property
     def edges(self) -> np.ndarray:
@@ -98,13 +103,19 @@ class SampledPotential:
             raise PotentialError("xs and vs must have equal length")
         if len(self.xs) < 2:
             raise PotentialError("at least 2 samples required")
-        xs = np.asarray(self.xs, dtype=float)
+        xs, vs = [], []
+        for i, (x, v) in enumerate(zip(self.xs, self.vs)):
+            try:
+                xs.append(float(x))
+                vs.append(complex(v))
+            except (TypeError, ValueError) as exc:
+                raise PotentialError(f"sample {i}: malformed number: {exc}") from exc
         if not np.all(np.isfinite(xs)):
             raise PotentialError("sample abscissae must be finite")
         if not np.all(np.diff(xs) > 0):
             raise PotentialError("sample abscissae must be strictly increasing")
-        object.__setattr__(self, "xs", tuple(float(x) for x in self.xs))
-        object.__setattr__(self, "vs", tuple(complex(v) for v in self.vs))
+        object.__setattr__(self, "xs", tuple(xs))
+        object.__setattr__(self, "vs", tuple(vs))
         # arrays built once: evaluate runs per ODE right-hand side, and
         # converting the tuples there costs O(len(xs)) per call
         object.__setattr__(self, "_xs", np.asarray(self.xs))

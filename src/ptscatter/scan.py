@@ -73,6 +73,8 @@ def sweep(p: Potential, k_grid, backend: str = "auto",
     ks = np.asarray(k_grid, dtype=float)
     if ks.ndim != 1 or ks.size == 0:
         raise ValueError("k grid must be a nonempty 1D array")
+    if not np.all(np.isfinite(ks)):
+        raise ValueError("k grid must be finite")
     if np.any(ks <= 0):
         raise ValueError("k grid must be strictly positive")
     if np.any(np.diff(ks) <= 0):
@@ -81,8 +83,12 @@ def sweep(p: Potential, k_grid, backend: str = "auto",
     rows: list[ScatteringData] = []
     errors: list[tuple[float, str]] = []
     if backend == STACK:
-        for m, k in zip(stack_matrices(p, ks), ks):
-            rows.append(scattering_data(TransferMatrix.from_array(m, float(k), STACK)))
+        # Python floats and complexes, so each row's arithmetic is the scalar path's
+        m = stack_matrices(p, ks)
+        columns = (m[:, 0, 0].tolist(), m[:, 0, 1].tolist(), m[:, 1, 0].tolist(),
+                   m[:, 1, 1].tolist())
+        for k, m11, m12, m21, m22 in zip(ks.tolist(), *columns):
+            rows.append(scattering_data(TransferMatrix(m11, m12, m21, m22, k, STACK)))
     else:
         for k in ks:
             try:

@@ -281,6 +281,12 @@ def test_cli_usage_errors_exit_two(pot_files, capsys, tmp_path):
     capsys.readouterr()
     assert run_command(["nonsense"]) == 2
     capsys.readouterr()
+    # non-finite k is a usage error, not a table of nan/inf rows or a failed identity
+    for argv in (["sweep", "--k-range", "0.5:inf:3"], ["sweep", "--k-range", "0.5:1e400:3"],
+                 ["scan", "--k-range", "0.5:inf:3"], ["verify", "--k-range", "0.5:inf:3"],
+                 ["verify", "--k", "nan"], ["verify", "--k", "inf"]):
+        assert run_command(argv[:1] + ["--potential", pot_files["barrier"]] + argv[1:]) == 2
+        capsys.readouterr()
 
 
 def test_malformed_layer_field_exits_two(tmp_path, capsys):

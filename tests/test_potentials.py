@@ -169,6 +169,17 @@ def test_layer_validation_errors():
         LayerPotential((1.0, 2.0), (1.0,), 0.0)
     with pytest.raises(PotentialError):
         SampledPotential((0.0, 0.0), (1.0, 1.0))
+    # malformed numbers name the layer or sample instead of escaping as a TypeError
+    with pytest.raises(PotentialError, match="layer 0"):
+        LayerPotential((1.0,), (None,), 0.0)
+    with pytest.raises(PotentialError, match="layer 0"):
+        LayerPotential((None,), (1.0,), 0.0)
+    with pytest.raises(PotentialError, match="x_left"):
+        LayerPotential((1.0,), (1.0,), None)
+    with pytest.raises(PotentialError, match="sample 0"):
+        SampledPotential((0.0, 1.0), (None, 2.0))
+    with pytest.raises(PotentialError, match="sample 1"):
+        SampledPotential((0.0, "x"), (1.0, 2.0))
 
 
 def test_pt_construction_rule_layers():

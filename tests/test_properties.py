@@ -1,4 +1,9 @@
 """Property-based checks of the structural invariants."""
+import csv
+import io
+import json
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +23,8 @@ from ptscatter import (
 )
 from ptscatter import io as tables
 from ptscatter.identities import residual_negk_amplitudes, residual_negk_matrix
+from ptscatter.scan import SweepResult
+from ptscatter.transfer import ODE, STACK, ScatteringData
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 layer_value = st.tuples(finite, finite).map(lambda t: complex(*t))
@@ -121,3 +128,51 @@ def test_sampled_pt_completion(points):
 @settings(max_examples=200)
 def test_csv_float_cells_roundtrip(x):
     assert tables.roundtrip_floats_exact(x)
+
+
+# --- sweep writers against the encoders they replace --------------------------
+
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-310,
+               1e300, -1e300, 1e-300, -1e-300)
+any_float = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+# |T|, |R| above ~1.3e154 make abs(.) ** 2 raise OverflowError in both writers
+amplitude_part = st.one_of(st.sampled_from(EDGE_FLOATS[:8]),
+                           st.floats(min_value=-1e150, max_value=1e150))
+amplitude = st.builds(complex, amplitude_part, amplitude_part)
+messages = st.one_of(st.text(), st.sampled_from(
+    ['say "hi"\nthen, stop', "k* \u2248 1.06 \u2014 \u00fcn\u00efcode", "back\\slash\r\n"]))
+
+
+@st.composite
+def sweep_results(draw):
+    rows = draw(st.lists(st.builds(
+        ScatteringData, any_float, amplitude, amplitude, amplitude,
+        st.builds(complex, any_float, any_float), st.booleans(), any_float,
+        st.one_of(st.sampled_from((STACK, ODE, "nan", "a,b")), st.text())), max_size=4))
+    errors = draw(st.lists(st.tuples(any_float, messages), max_size=3))
+    return SweepResult(tuple(rows), tuple(errors))
+
+
+def _reference_sweep_json(sw):
+    return json.dumps({"type": "sweep", "rows": [tables._scattering_json(s) for s in sw.rows],
+                       "errors": [[k, msg] for k, msg in sw.errors]}, indent=2)
+
+
+def _reference_sweep_csv(sw):
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(tables.SWEEP_COLUMNS)
+    fmt = tables._fmt
+    for s in sw.rows:
+        w.writerow([fmt(s.k), fmt(s.T.real), fmt(s.T.imag), fmt(s.R_left.real),
+                    fmt(s.R_left.imag), fmt(s.R_right.real), fmt(s.R_right.imag),
+                    fmt(abs(s.T) ** 2), fmt(abs(s.R_left) ** 2), fmt(abs(s.R_right) ** 2),
+                    fmt(s.D.real), fmt(s.D.imag), fmt(s.condition), fmt(s.finite), s.backend])
+    return buf.getvalue()
+
+
+@given(sweep_results())
+@settings(max_examples=200, deadline=None)
+def test_sweep_writers_match_reference_encoders(sw):
+    assert tables.sweep_to_json(sw) == _reference_sweep_json(sw)
+    assert tables.sweep_to_csv(sw) == _reference_sweep_csv(sw)

@@ -55,6 +55,9 @@ def test_sweep_validates_grid():
         sweep(free(), [-1.0, 1.0])
     with pytest.raises(ValueError):
         sweep(free(), [])
+    for grid in ([0.5, np.inf], [np.nan, 0.5, 1.0], [0.5, 1.0, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            sweep(free(), grid)
 
 
 def test_sweep_ode_backend_row_errors_do_not_abort():

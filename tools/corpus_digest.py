@@ -2,8 +2,9 @@
 
 Runs `sweep`, `verify` and `scan` in-process (through `cli.run_command`) on
 the seven `catalog.corpus()` potentials, each given as the spec
-{"family": NAME}, and prints for every run its argv, exit code, and the
-sha256 of stdout and of stderr. Two checkouts whose lines are identical give
+{"family": NAME}, and on two potentials whose rows are not finite (EXTRAS),
+and prints for every run its argv, exit code, and the sha256 of stdout and
+of stderr. Two checkouts whose lines are identical give
 byte-identical tables, diagnostics and exit codes on this matrix:
 
     PYTHONPATH=<checkout>/src python tools/corpus_digest.py > digest.txt
@@ -29,6 +30,23 @@ DENSE_SWEEP, SPARSE_SWEEP = "0.3:3.0:200", "0.3:3.0:7"
 DENSE_VERIFY, SPARSE_VERIFY = "0.3:3.0:9", "0.4:2.9:3"
 DENSE_SCAN, SPARSE_SCAN = "0.3:3.0:271", "0.3:3.0:10"
 ODE_ONLY = "scarf2-pt"  # the one analytic profile: every run integrates the ODE
+GAMMA_STAR, K_STAR = 2.071737124880286, "1.064682550561970"  # a pt-bilayer singularity
+
+# name, spec, argv: a slab whose product overflows (NaN and inf rows), and
+# pt-bilayer at a spectral singularity
+EXTRAS = (
+    ("opaque-slab", {"layers": [{"re": 10000, "width": 10}], "x0": -5}, (
+        ["sweep", "--backend", "stack", "--format", "csv", "--k-range", "0.3:3.0:60"],
+        ["sweep", "--backend", "stack", "--format", "json", "--k-range", "0.3:3.0:60"],
+        ["verify", "--k", "1"],
+        ["verify", "--k", "1", "--format", "json"],
+        ["scan", "--k-range", DENSE_SCAN],
+    )),
+    ("pt-bilayer-singular", {"family": "pt-bilayer", "params": {"gamma": GAMMA_STAR}}, (
+        ["sweep", "--format", "json", "--k-range", f"{K_STAR}:1.2:3"],
+        ["verify", "--k", K_STAR, "--format", "json"],
+    )),
+)
 
 
 def runs(name: str):
@@ -58,12 +76,13 @@ def digest(argv) -> tuple[int, str, str]:
 
 def main() -> int:
     warnings.simplefilter("ignore")
+    cases = [(name, {"family": name}, runs(name)) for name in corpus()] + list(EXTRAS)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in corpus():
+        for name, spec, argvs in cases:
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"family": name}, fh)
-            for args in runs(name):
+                json.dump(spec, fh)
+            for args in argvs:
                 code, out, err = digest([args[0], "--potential", path] + args[1:])
                 shown = " ".join([args[0], "--potential", f"<{name}>"] + args[1:])
                 print(f"{shown} | exit {code} | stdout {out} | stderr {err}", flush=True)
