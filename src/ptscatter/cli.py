@@ -7,6 +7,7 @@ go to --out or stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -24,13 +25,24 @@ TOL_ENV_VAR = "PTSCATTER_TOL"
 DEFAULT_VERIFY_TOL = 1e-8
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance argument: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _default_tol() -> float:
     raw = os.environ.get(TOL_ENV_VAR)
     if raw:
         try:
-            return float(raw)
-        except ValueError:
-            print(f"warning: ignoring non-numeric {TOL_ENV_VAR}={raw!r}", file=sys.stderr)
+            return _tolerance(raw)
+        except argparse.ArgumentTypeError as exc:
+            print(f"warning: ignoring {TOL_ENV_VAR}={raw!r}: {exc}", file=sys.stderr)
     return DEFAULT_VERIFY_TOL
 
 
@@ -68,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--k-range", type=_parse_k_range, metavar="MIN:MAX:COUNT")
         sp.add_argument("--backend", choices=("auto", "stack", "ode", "both"),
                         default="auto")
-        sp.add_argument("--ode-tol", type=float, default=1e-10,
+        sp.add_argument("--ode-tol", type=_tolerance, default=1e-10,
                         help="local error tolerance of the ODE backend")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", metavar="PATH", default=None,
@@ -79,14 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="evaluate the identity catalog; exit 1 on failure")
     common(sp, needs_range=False)
-    sp.add_argument("--tol", type=float, default=None,
+    sp.add_argument("--tol", type=_tolerance, default=None,
                     help=f"residual tolerance (default {DEFAULT_VERIFY_TOL}, or ${TOL_ENV_VAR})")
     sp.add_argument("--long", action="store_true",
                     help="CSV output as one row per (k, identity) instead of wide columns")
 
     sp = sub.add_parser("scan", help="locate singular/reflectionless/invisible points")
     common(sp, needs_range=True)
-    sp.add_argument("--tol", type=float, default=DEFAULT_REFINE_TOL,
+    sp.add_argument("--tol", type=_tolerance, default=DEFAULT_REFINE_TOL,
                     help=f"refinement tolerance (default {DEFAULT_REFINE_TOL})")
 
     return parser
@@ -144,11 +156,8 @@ def _cmd_verify(args) -> int:
     if np.any(ks <= 0):
         raise ValueError("verify requires k > 0")
     backend_k, backend_negk = _verify_backends(p, args.backend)
-    reports = [
-        identity_report(p, float(k), tol_ode=args.ode_tol,
-                        backend=backend_k, backend_negk=backend_negk)
-        for k in ks
-    ]
+    reports = identity_report(p, ks, tol_ode=args.ode_tol,
+                              backend=backend_k, backend_negk=backend_negk)
     if args.format == "json":
         text = tables.reports_to_json(reports)
     elif getattr(args, "long", False):

@@ -21,14 +21,16 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .potentials import Potential, SymmetryClass, classify_symmetry
 from .transfer import (
     DEFAULT_ODE_TOL,
     ScatteringData,
     TransferMatrix,
-    compute_transfer,
     negative_k_matrix,
     scattering_data,
+    transfer_matrices,
 )
 
 REFLECTIONLESS_FLOOR = 1e-10
@@ -127,6 +129,18 @@ def phases(s: ScatteringData, pt_symmetric: bool = False) -> PhaseRecord:
     return PhaseRecord(tau, lam, rho, m1, m2, res1, res2)
 
 
+def abs2(z: complex) -> float:
+    """abs(z) ** 2, or inf where that overflows float64 (|z| above about 1.34e154).
+
+    CPython's abs() of a complex with a NaN part leaves errno as it was, so
+    after an earlier overflow it raises OverflowError too: that z gives NaN.
+    """
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.nan if cmath.isnan(z) else math.inf
+
+
 def _require_finite(*ss: ScatteringData):
     for s in ss:
         if not s.finite:
@@ -148,14 +162,14 @@ def residual_reciprocity_real(s: ScatteringData) -> float:
 def residual_unitarity_real(s: ScatteringData) -> float:
     """max over sides of | |R|^2 + |T|^2 - 1 |."""
     _require_finite(s)
-    t2 = abs(s.T) ** 2
-    return max(abs(abs(s.R_left) ** 2 + t2 - 1.0), abs(abs(s.R_right) ** 2 + t2 - 1.0))
+    t2 = abs2(s.T)
+    return max(abs(abs2(s.R_left) + t2 - 1.0), abs(abs2(s.R_right) + t2 - 1.0))
 
 
 def residual_pt_pseudo_unitarity(s: ScatteringData) -> tuple[float, int]:
     """Residual of |T|^2 +- |R_l R_r| = 1 with the sign of 1 - |T|^2, and that sign."""
     _require_finite(s)
-    t2 = abs(s.T) ** 2
+    t2 = abs2(s.T)
     sign = 0 if t2 == 1.0 else (1 if t2 < 1.0 else -1)
     return abs(t2 + sign * abs(s.R_left * s.R_right) - 1.0), sign
 
@@ -170,7 +184,7 @@ def residual_generalized_unitarity(s_k: ScatteringData, s_negk: ScatteringData,
         prod = s_k.R_right * s_negk.R_right
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return abs(prod + abs(s_k.T) ** 2 - 1.0)
+    return abs(prod + abs2(s_k.T) - 1.0)
 
 
 def residual_reciprocity_gen(s_k: ScatteringData, s_negk: ScatteringData) -> float:
@@ -335,21 +349,34 @@ def _is_claimed(identity: str, sym: SymmetryClass) -> tuple[bool, str]:
 
 def identity_report(
     p: Potential,
-    k: float,
+    k,
     tol_ode: float = DEFAULT_ODE_TOL,
     backend: str = "auto",
     backend_negk: str | None = None,
-) -> IdentityReport:
-    """Evaluate the full identity catalog at one k.
+) -> IdentityReport | tuple[IdentityReport, ...]:
+    """Evaluate the full identity catalog at one k, or at each k of a 1-D array.
 
-    M(k) and M(-k) come from two independent backend runs (never from the
+    A float k gives one IdentityReport, an array a tuple of them in k order.
+    The potential is classified once, and M(k) and M(-k) come from one
+    transfer_matrices call per sign: two independent backend runs (never the
     sigma1 swap), so the negative-k identities are genuine cross-checks.
     """
-    if k == 0:
+    ks = np.asarray(k, dtype=float)
+    if ks.ndim > 1:
+        raise ValueError("k must be a number or a 1-D array")
+    if np.any(ks == 0):
         raise ValueError("k = 0: zero-energy scattering is excluded")
     sym = classify_symmetry(p)
-    m_k = compute_transfer(p, k, backend, tol_ode)
-    m_negk = compute_transfer(p, -k, backend_negk or backend, tol_ode)
+    flat = ks.reshape(-1)
+    pairs = zip(flat.tolist(), transfer_matrices(p, flat, backend, tol_ode),
+                transfer_matrices(p, -flat, backend_negk or backend, tol_ode))
+    reports = tuple(_report(k, m_k, m_negk, sym) for k, m_k, m_negk in pairs)
+    return reports if ks.ndim else reports[0]
+
+
+def _report(k: float, m_k: TransferMatrix, m_negk: TransferMatrix,
+            sym: SymmetryClass) -> IdentityReport:
+    """The catalog at (k, -k) from the two transfer matrices and the symmetry class."""
     s_k = scattering_data(m_k)
     s_negk = scattering_data(m_negk)
     if s_k.finite:
@@ -393,4 +420,4 @@ def identity_report(
         else IdentityEntry(identity, value, *_is_claimed(identity, sym))
         for identity, value in found.items()
     )
-    return IdentityReport(float(k), entries, s_k, s_negk, sym)
+    return IdentityReport(k, entries, s_k, s_negk, sym)

@@ -16,7 +16,7 @@ from dataclasses import asdict, replace
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from .identities import IDENTITY_IDS, IdentityEntry, IdentityReport, PhaseRecord
+from .identities import IDENTITY_IDS, IdentityEntry, IdentityReport, PhaseRecord, abs2
 from .potentials import SymmetryClass
 from .scan import Feature, ScanResult, SweepResult
 from .transfer import ScatteringData
@@ -98,9 +98,12 @@ def _amplitude_cells(s: ScatteringData) -> tuple[float, ...]:
     Adding 0.0 turns -0.0 into 0.0, which prints as "0" just as _fmt writes it.
     """
     t, rl, rr, d = s.T, s.R_left, s.R_right, s.D
+    try:  # abs2's values, without a call per cell on the rows that need none
+        t2, rl2, rr2 = abs(t) ** 2, abs(rl) ** 2, abs(rr) ** 2
+    except OverflowError:
+        t2, rl2, rr2 = abs2(t), abs2(rl), abs2(rr)
     return (s.k + 0.0, t.real + 0.0, t.imag + 0.0, rl.real + 0.0, rl.imag + 0.0,
-            rr.real + 0.0, rr.imag + 0.0, abs(t) ** 2, abs(rl) ** 2, abs(rr) ** 2,
-            d.real + 0.0, d.imag + 0.0)
+            rr.real + 0.0, rr.imag + 0.0, t2, rl2, rr2, d.real + 0.0, d.imag + 0.0)
 
 
 # one sweep row: the 12 amplitude cells and condition as _fmt prints floats, then finite, backend
@@ -155,32 +158,36 @@ def _scattering_from_json(obj) -> ScatteringData:
     )
 
 
-def _json_row_template() -> str:
-    """One row of sweep_to_json's rows list, indented as it nests there, with %s per value.
+_SLOT = "\0"  # a placeholder value in the documents the templates are encoded from
 
-    The keys and their order come from encoding a placeholder row through
-    _scattering_json; sweep_to_json fills the slots in that order.
+
+def _json_template(doc, depth: int) -> str:
+    """json.dumps(doc, indent=2) as it nests depth levels deep, with %s for each _SLOT value.
+
+    Encoding a placeholder document keeps its keys and their order written
+    once, in the function that builds that document.
     """
-    slot = SimpleNamespace(real="\0", imag="\0")
-    placeholder = ScatteringData("\0", slot, slot, slot, slot, "\0", "\0", "\0")
-    text = "\n" + json.dumps(_scattering_json(placeholder), indent=2)
-    return text.replace("\n", "\n    ").replace(json.dumps("\0"), "%s")
+    text = json.dumps(doc, indent=2).replace("\n", "\n" + "  " * depth)
+    return text.replace(json.dumps(_SLOT), "%s")
 
 
-_JSON_ROW = _json_row_template()
+_ROW_SLOT = ScatteringData(_SLOT, *[SimpleNamespace(real=_SLOT, imag=_SLOT)] * 4,
+                           _SLOT, _SLOT, _SLOT)
+_JSON_ROW = "\n    " + _json_template(_scattering_json(_ROW_SLOT), 2)  # in a sweep's rows
+_JSON_SCATTERING = _json_template(_scattering_json(_ROW_SLOT), 3)  # a report's value
 # str() of a non-finite float, and json's name for it
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _sweep_rows_json(rows):
+def _scattering_texts(rows, template):
     """Each row as json.dumps(..., indent=2) writes it: repr for floats, NaN/Infinity otherwise."""
     for s in rows:
         t, rl, rr, d = s.T, s.R_left, s.R_right, s.D
         values = (s.k, t.real, t.imag, rl.real, rl.imag, rr.real, rr.imag, d.real, d.imag,
                   _BOOL_TEXT[s.finite], s.condition, encode_basestring_ascii(s.backend))
-        text = _JSON_ROW % values
+        text = template % values
         if "nan" in text or "inf" in text:  # a non-finite float, or a backend named so
-            text = _JSON_ROW % tuple(_JSON_NONFINITE.get(v, v) for v in map(str, values))
+            text = template % tuple(_JSON_NONFINITE.get(v, v) for v in map(str, values))
         yield text
 
 
@@ -191,7 +198,7 @@ def sweep_to_json(sw: SweepResult) -> str:
     if not sw.rows:
         return text
     # the first '"rows": []' is the rows key: only "type": "sweep" precedes it
-    rows = '"rows": [' + ",".join(_sweep_rows_json(sw.rows)) + "\n  ]"
+    rows = '"rows": [' + ",".join(_scattering_texts(sw.rows, _JSON_ROW)) + "\n  ]"
     return text.replace('"rows": []', rows, 1)
 
 
@@ -279,23 +286,53 @@ def _phases_from_json(obj) -> PhaseRecord | None:
     )
 
 
+_JSON_PHASES = _json_template(_phases_json(PhaseRecord(*[_SLOT] * 7)), 3)
+_JSON_ENTRY = "\n        " + _json_template(asdict(IdentityEntry(*[_SLOT] * 4)), 4)
+_JSON_REPORT = "\n    " + _json_template({
+    "k": _SLOT,
+    "symmetry": asdict(SymmetryClass(*[_SLOT] * 7)),
+    "scattering": _SLOT,  # _JSON_SCATTERING
+    "scattering_negk": _SLOT,  # _JSON_SCATTERING
+    "phases": _SLOT,  # _JSON_PHASES, or null
+    "entries": _SLOT,  # a list of _JSON_ENTRY
+}, 2)
+
+
+def _json_number(x) -> str:
+    """A float, an int or None as json.dumps writes it: repr, NaN/Infinity/-Infinity, null."""
+    if x is None:
+        return "null"
+    text = str(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _reports_json(reports):
+    """Each report as json.dumps(..., indent=2) writes it inside the reports list."""
+    for r in reports:
+        sym, ph = r.symmetry, r.scattering.phases
+        scattering, scattering_negk = _scattering_texts(
+            (r.scattering, r.scattering_negk), _JSON_SCATTERING)
+        phases = "null" if ph is None else _JSON_PHASES % tuple(map(_json_number, (
+            ph.tau, ph.lam, ph.rho, ph.m1, ph.m2, ph.m1_residue, ph.m2_residue)))
+        entries = ",".join(
+            _JSON_ENTRY % (encode_basestring_ascii(e.identity), _json_number(e.residual),
+                           _BOOL_TEXT[e.applicable], encode_basestring_ascii(e.note))
+            for e in r.entries)
+        yield _JSON_REPORT % (
+            _json_number(r.k), _BOOL_TEXT[sym.is_real], _BOOL_TEXT[sym.is_even],
+            _BOOL_TEXT[sym.is_pt_symmetric], _json_number(sym.real_violation),
+            _json_number(sym.even_violation), _json_number(sym.pt_violation),
+            _json_number(sym.tol), scattering, scattering_negk, phases,
+            "[" + entries + "\n      ]" if entries else "[]")
+
+
 def reports_to_json(reports) -> str:
-    docs = [
-        {
-            "k": r.k,
-            "symmetry": asdict(r.symmetry),
-            "scattering": _scattering_json(r.scattering),
-            "scattering_negk": _scattering_json(r.scattering_negk),
-            "phases": _phases_json(r.scattering.phases),
-            "entries": [
-                {"identity": e.identity, "residual": e.residual,
-                 "applicable": e.applicable, "note": e.note}
-                for e in r.entries
-            ],
-        }
-        for r in reports
-    ]
-    return json.dumps({"type": "verify", "reports": docs}, indent=2)
+    """The text of json.dumps(doc, indent=2), with each report written from _JSON_REPORT."""
+    text = json.dumps({"type": "verify", "reports": []}, indent=2)
+    body = ",".join(_reports_json(reports))
+    if not body:
+        return text
+    return text.replace('"reports": []', '"reports": [' + body + "\n  ]", 1)
 
 
 def reports_from_json(text: str) -> list[IdentityReport]:

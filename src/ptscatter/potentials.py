@@ -114,6 +114,9 @@ class SampledPotential:
             raise PotentialError("sample abscissae must be finite")
         if not np.all(np.diff(xs) > 0):
             raise PotentialError("sample abscissae must be strictly increasing")
+        for i, v in enumerate(vs):
+            if not np.isfinite(v):
+                raise PotentialError(f"sample {i}: non-finite value {v}")
         object.__setattr__(self, "xs", tuple(xs))
         object.__setattr__(self, "vs", tuple(vs))
         # arrays built once: evaluate runs per ODE right-hand side, and

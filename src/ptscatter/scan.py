@@ -21,11 +21,11 @@ from .transfer import (
     BackendError,
     ConvergenceError,
     ScatteringData,
-    TransferMatrix,
     compute_transfer,
     resolve_backend,
     scattering_data,
     stack_matrices,
+    transfer_matrices,
 )
 
 SPECTRAL_SINGULARITY = "spectral_singularity"
@@ -80,16 +80,11 @@ def sweep(p: Potential, k_grid, backend: str = "auto",
     if np.any(np.diff(ks) <= 0):
         raise ValueError("k grid must be strictly increasing")
     backend = resolve_backend(p, backend)
-    rows: list[ScatteringData] = []
     errors: list[tuple[float, str]] = []
     if backend == STACK:
-        # Python floats and complexes, so each row's arithmetic is the scalar path's
-        m = stack_matrices(p, ks)
-        columns = (m[:, 0, 0].tolist(), m[:, 0, 1].tolist(), m[:, 1, 0].tolist(),
-                   m[:, 1, 1].tolist())
-        for k, m11, m12, m21, m22 in zip(ks.tolist(), *columns):
-            rows.append(scattering_data(TransferMatrix(m11, m12, m21, m22, k, STACK)))
+        rows = [scattering_data(m) for m in transfer_matrices(p, ks, STACK)]
     else:
+        rows = []
         for k in ks:
             try:
                 rows.append(scattering_data(compute_transfer(p, float(k), backend, tol)))

@@ -133,7 +133,7 @@ def layer_matrix(v0: complex, width: float, k: float, x_left: float = 0.0) -> Tr
 
 def transfer_matrix_stack(p: Potential, k: float) -> TransferMatrix:
     """Slab-product transfer matrix; exact for piecewise-constant potentials."""
-    return TransferMatrix.from_array(stack_matrices(p, [k])[0], k, STACK)
+    return next(transfer_matrices(p, [k], STACK))
 
 
 def stack_matrices(p: Potential, ks) -> np.ndarray:
@@ -229,6 +229,27 @@ def compute_transfer(p: Potential, k: float, backend: str = "auto",
     if resolve_backend(p, backend) == STACK:
         return transfer_matrix_stack(p, k)
     return transfer_matrix_ode(p, k, tol)
+
+
+def transfer_matrices(p: Potential, ks, backend: str = "auto",
+                      tol: float = DEFAULT_ODE_TOL):
+    """An iterator of one TransferMatrix per k of a 1-D array, in k order.
+
+    Rows are built as they are drawn, so a caller that consumes each row at
+    once holds one at a time. Stack: one kernel call, made here, whose four
+    columns are taken once as Python complexes, so each row's arithmetic
+    downstream is the scalar path's. ODE: one transfer_matrix_ode per row
+    drawn, so a caller that zips the +k and -k iterators solves in the
+    order k, -k, next k.
+    """
+    ks = np.asarray(ks, dtype=float)
+    if resolve_backend(p, backend) == STACK:
+        m = stack_matrices(p, ks)
+        columns = (m[:, 0, 0].tolist(), m[:, 0, 1].tolist(), m[:, 1, 0].tolist(),
+                   m[:, 1, 1].tolist())
+        return (TransferMatrix(m11, m12, m21, m22, k, STACK)
+                for k, m11, m12, m21, m22 in zip(ks.tolist(), *columns))
+    return (transfer_matrix_ode(p, k, tol) for k in ks.tolist())
 
 
 def scattering_data(m: TransferMatrix) -> ScatteringData:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ptscatter import (
@@ -10,6 +11,7 @@ from ptscatter import (
     scattering_data,
     transfer_matrix_stack,
 )
+from ptscatter import io as tables
 from ptscatter.catalog import barrier, double_barrier, free, onesided, pt_bilayer, pt_stack4
 from ptscatter.identities import (
     GEN_UNITARITY_L,
@@ -24,6 +26,7 @@ from ptscatter.identities import (
     R_NEGK_CONJ,
     RECIPROCITY_GEN,
     T_NEGK_CONJ,
+    abs2,
     phases,
     residual_generalized_unitarity,
     residual_negk_amplitudes,
@@ -32,6 +35,7 @@ from ptscatter.identities import (
     residual_r_phase_real,
     residual_reciprocity_gen,
     residual_t_parity,
+    residual_unitarity_real,
 )
 
 
@@ -293,3 +297,31 @@ def test_pt_negk_r_sign_convention():
     r = identity_report(pt_bilayer(gamma=0.5), 1.0)
     assert r.entry(PT_NEGK_R).applicable
     assert r.entry(PT_NEGK_R).residual <= 1e-8
+
+
+@pytest.mark.parametrize("pot,ks,backend,backend_negk", [
+    (pt_stack4(), (0.3, 0.77, 1.5, 2.9), "stack", None),
+    (pt_stack4(), (0.3, 1.5, 2.9), "ode", None),
+    (pt_bilayer(gamma=0.5), (0.4, 1.1, 2.3), "stack", "ode"),  # verify --backend both
+    (LayerPotential((10000.0,), (10.0,), -5.0), np.linspace(0.3, 3.0, 60), "auto", None),
+    (pt_bilayer(gamma=2.071737124880286), (1.064682550561970, 1.1, 1.2), "auto", None),
+], ids=["stack", "ode", "both", "opaque-slab", "pt-bilayer-singular"])
+def test_report_batch_matches_per_k_reports(pot, ks, backend, backend_negk):
+    # one pass over the k array gives the reports of one call per k, to the byte
+    kwargs = {"backend": backend, "backend_negk": backend_negk, "tol_ode": 1e-11}
+    with np.errstate(all="ignore"):
+        batch = identity_report(pot, np.asarray(ks), **kwargs)
+        single = [identity_report(pot, float(k), **kwargs) for k in ks]
+    assert isinstance(batch, tuple) and len(batch) == len(ks)
+    assert tables.reports_to_json(batch) == tables.reports_to_json(single)
+
+
+def test_squared_moduli_overflow_to_inf():
+    # |T| = 1e200: abs(T) ** 2 overflows; the residual is inf, not an OverflowError
+    s = ScatteringData(1.0, 1e200 + 0j, 0j, 0j, 0j, True, 1.0)
+    assert residual_unitarity_real(s) == math.inf
+    assert residual_pt_pseudo_unitarity(s)[0] == math.inf
+    # a NaN part after that overflow stays NaN (CPython's abs() keeps the stale errno)
+    assert math.isnan(abs2(complex(math.nan, 1.0)))
+    assert abs2(complex(math.inf, math.nan)) == math.inf
+    assert abs2(3 + 4j) == 25.0

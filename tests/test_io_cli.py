@@ -11,6 +11,7 @@ from ptscatter import (
     identity_report,
     sweep,
 )
+from ptscatter import identities, kernels
 from ptscatter import io as tables
 from ptscatter.catalog import barrier, free, onesided, pt_bilayer, pt_stack4
 from ptscatter.cli import run_command
@@ -218,6 +219,12 @@ def test_verify_env_tolerance(pot_files, capsys, monkeypatch):
     code = run_command(["verify", "--potential", pot_files["onesided"], "--k", "1.3"])
     capsys.readouterr()
     assert code == 1
+    # a NaN or negative tolerance would fail every identity: warn and use the default
+    for raw in ("nan", "-1"):
+        monkeypatch.setenv("PTSCATTER_TOL", raw)
+        code = run_command(["verify", "--potential", pot_files["barrier"], "--k", "1.3"])
+        assert code == 0
+        assert "ignoring PTSCATTER_TOL" in capsys.readouterr().err
 
 
 def test_sweep_csv_to_stdout(pot_files, capsys):
@@ -284,7 +291,15 @@ def test_cli_usage_errors_exit_two(pot_files, capsys, tmp_path):
     # non-finite k is a usage error, not a table of nan/inf rows or a failed identity
     for argv in (["sweep", "--k-range", "0.5:inf:3"], ["sweep", "--k-range", "0.5:1e400:3"],
                  ["scan", "--k-range", "0.5:inf:3"], ["verify", "--k-range", "0.5:inf:3"],
-                 ["verify", "--k", "nan"], ["verify", "--k", "inf"]):
+                 ["verify", "--k", "nan"], ["verify", "--k", "inf"],
+                 # a tolerance is a finite number > 0
+                 ["verify", "--k", "1", "--tol", "nan"], ["verify", "--k", "1", "--tol", "-1"],
+                 ["verify", "--k", "1", "--tol", "0"],
+                 ["scan", "--k-range", "0.5:3:10", "--tol", "nan"],
+                 ["scan", "--k-range", "0.5:3:10", "--tol", "-1"],
+                 ["scan", "--k-range", "0.5:3:10", "--tol", "inf"],
+                 ["sweep", "--k-range", "0.5:1:3", "--ode-tol", "inf"],
+                 ["verify", "--k", "1", "--ode-tol", "nan"]):
         assert run_command(argv[:1] + ["--potential", pot_files["barrier"]] + argv[1:]) == 2
         capsys.readouterr()
 
@@ -294,6 +309,34 @@ def test_malformed_layer_field_exits_two(tmp_path, capsys):
     bad.write_text('{"layers":[{"re":null,"width":1}]}')
     assert run_command(["verify", "--potential", str(bad), "--k", "1.0"]) == 2
     assert "layer 0" in capsys.readouterr().err
+
+
+def test_nonfinite_sample_value_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"samples":[{"x":-1,"re":0},{"x":0,"re":NaN},{"x":1,"re":0}]}')
+    for argv in (["sweep", "--k-range", "0.5:1:3"], ["verify", "--k", "1.0"]):
+        assert run_command(argv[:1] + ["--potential", str(bad)] + argv[1:]) == 2
+        assert "sample 1" in capsys.readouterr().err
+
+
+def test_stack_verify_is_one_pass(pot_files, capsys, monkeypatch):
+    # 50 k: one kernel call for +k, one for -k, and the potential classified once
+    calls = {"kernel": 0, "classify": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(kernels, "stack_transfer", counting("kernel", kernels.stack_transfer))
+    monkeypatch.setattr(identities, "classify_symmetry",
+                        counting("classify", identities.classify_symmetry))
+    code = run_command(["verify", "--potential", pot_files["ptbilayer"], "--k-range",
+                        "0.5:3:50", "--format", "json"])
+    assert code == 0
+    assert len(tables.reports_from_json(capsys.readouterr().out)) == 50
+    assert calls == {"kernel": 2, "classify": 1}
 
 
 def test_verify_exit_matches_report_contents(pot_files, capsys):

@@ -180,6 +180,11 @@ def test_layer_validation_errors():
         SampledPotential((0.0, 1.0), (None, 2.0))
     with pytest.raises(PotentialError, match="sample 1"):
         SampledPotential((0.0, "x"), (1.0, 2.0))
+    # non-finite values are refused as for layers
+    with pytest.raises(PotentialError, match="sample 1: non-finite"):
+        SampledPotential((-1.0, 0.0, 1.0), (0.0, complex("nan"), 0.0))
+    with pytest.raises(PotentialError, match="sample 0: non-finite"):
+        SampledPotential((0.0, 1.0), (complex(0.0, float("inf")), 0.0))
 
 
 def test_pt_construction_rule_layers():

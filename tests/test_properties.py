@@ -1,8 +1,10 @@
 """Property-based checks of the structural invariants."""
+import cmath
 import csv
 import io
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,9 +24,17 @@ from ptscatter import (
     transfer_matrix_stack,
 )
 from ptscatter import io as tables
-from ptscatter.identities import residual_negk_amplitudes, residual_negk_matrix
+from ptscatter.identities import (
+    IDENTITY_IDS,
+    IdentityEntry,
+    IdentityReport,
+    PhaseRecord,
+    residual_negk_amplitudes,
+    residual_negk_matrix,
+)
+from ptscatter.potentials import SymmetryClass
 from ptscatter.scan import SweepResult
-from ptscatter.transfer import ODE, STACK, ScatteringData
+from ptscatter.transfer import ODE, STACK, ScatteringData, stack_matrices
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 layer_value = st.tuples(finite, finite).map(lambda t: complex(*t))
@@ -135,9 +145,9 @@ def test_csv_float_cells_roundtrip(x):
 EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-310,
                1e300, -1e300, 1e-300, -1e-300)
 any_float = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
-# |T|, |R| above ~1.3e154 make abs(.) ** 2 raise OverflowError in both writers
+# |T|, |R| above ~1.3e154 overflow abs(.) ** 2: the CSV writer prints inf there
 amplitude_part = st.one_of(st.sampled_from(EDGE_FLOATS[:8]),
-                           st.floats(min_value=-1e150, max_value=1e150))
+                           st.floats(min_value=-1e300, max_value=1e300))
 amplitude = st.builds(complex, amplitude_part, amplitude_part)
 messages = st.one_of(st.text(), st.sampled_from(
     ['say "hi"\nthen, stop', "k* \u2248 1.06 \u2014 \u00fcn\u00efcode", "back\\slash\r\n"]))
@@ -158,6 +168,16 @@ def _reference_sweep_json(sw):
                        "errors": [[k, msg] for k, msg in sw.errors]}, indent=2)
 
 
+def _abs2(z):
+    """|z|^2: NaN for a NaN part (unless the other is infinite), inf past float64's range."""
+    if cmath.isnan(z) and not cmath.isinf(z):
+        return math.nan
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _reference_sweep_csv(sw):
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -166,7 +186,7 @@ def _reference_sweep_csv(sw):
     for s in sw.rows:
         w.writerow([fmt(s.k), fmt(s.T.real), fmt(s.T.imag), fmt(s.R_left.real),
                     fmt(s.R_left.imag), fmt(s.R_right.real), fmt(s.R_right.imag),
-                    fmt(abs(s.T) ** 2), fmt(abs(s.R_left) ** 2), fmt(abs(s.R_right) ** 2),
+                    fmt(_abs2(s.T)), fmt(_abs2(s.R_left)), fmt(_abs2(s.R_right)),
                     fmt(s.D.real), fmt(s.D.imag), fmt(s.condition), fmt(s.finite), s.backend])
     return buf.getvalue()
 
@@ -176,3 +196,63 @@ def _reference_sweep_csv(sw):
 def test_sweep_writers_match_reference_encoders(sw):
     assert tables.sweep_to_json(sw) == _reference_sweep_json(sw)
     assert tables.sweep_to_csv(sw) == _reference_sweep_csv(sw)
+
+
+# --- report writer against the encoder it replaces ----------------------------
+
+optional_float = st.one_of(st.none(), any_float)
+optional_int = st.one_of(st.none(), st.integers())
+scattering_rows = st.builds(
+    ScatteringData, any_float, amplitude, amplitude, amplitude,
+    st.builds(complex, any_float, any_float), st.booleans(), any_float,
+    st.sampled_from((STACK, ODE)))
+phase_records = st.builds(PhaseRecord, optional_float, optional_float, optional_float,
+                          optional_int, optional_int, optional_float, optional_float)
+entries = st.builds(IdentityEntry, st.one_of(st.sampled_from(IDENTITY_IDS), st.text()),
+                    optional_float, st.booleans(), messages)
+symmetries = st.builds(SymmetryClass, st.booleans(), st.booleans(), st.booleans(),
+                       any_float, any_float, any_float, any_float)
+
+
+@st.composite
+def identity_reports(draw):
+    scattering = draw(scattering_rows)
+    scattering.__dict__["phases"] = draw(st.one_of(st.none(), phase_records))
+    return IdentityReport(draw(any_float), tuple(draw(st.lists(entries, max_size=4))),
+                          scattering, draw(scattering_rows), draw(symmetries))
+
+
+def _reference_reports_json(reports):
+    docs = [{"k": r.k, "symmetry": asdict(r.symmetry),
+             "scattering": tables._scattering_json(r.scattering),
+             "scattering_negk": tables._scattering_json(r.scattering_negk),
+             "phases": tables._phases_json(r.scattering.phases),
+             "entries": [{"identity": e.identity, "residual": e.residual,
+                          "applicable": e.applicable, "note": e.note} for e in r.entries]}
+            for r in reports]
+    return json.dumps({"type": "verify", "reports": docs}, indent=2)
+
+
+@given(st.lists(identity_reports(), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_report_writer_matches_reference_encoder(reports):
+    assert tables.reports_to_json(reports) == _reference_reports_json(reports)
+
+
+# --- batched stack kernel against one call per k -------------------------------
+
+opaque_stacks = st.builds(
+    lambda v, w, x: LayerPotential((complex(v, 0.0),), (w,), x),
+    st.floats(min_value=1e3, max_value=1e4), st.floats(min_value=1.0, max_value=10.0),
+    st.floats(min_value=-5.0, max_value=0.0))
+signed_ks = st.lists(st.builds(lambda k, neg: -k if neg else k, ks, st.booleans()),
+                     min_size=1, max_size=12)
+
+
+@given(st.one_of(layer_stacks(), opaque_stacks), signed_ks)
+@settings(max_examples=150, deadline=None)
+def test_batched_stack_kernel_matches_single_k_bitwise(p, k_list):
+    with np.errstate(all="ignore"):
+        batch = stack_matrices(p, k_list)
+        for i, k in enumerate(k_list):
+            assert batch[i].tobytes() == stack_matrices(p, [k])[0].tobytes()

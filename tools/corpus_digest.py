@@ -33,18 +33,22 @@ ODE_ONLY = "scarf2-pt"  # the one analytic profile: every run integrates the ODE
 GAMMA_STAR, K_STAR = 2.071737124880286, "1.064682550561970"  # a pt-bilayer singularity
 
 # name, spec, argv: a slab whose product overflows (NaN and inf rows), and
-# pt-bilayer at a spectral singularity
+# pt-bilayer at a spectral singularity; each includes multi-k verify batches
 EXTRAS = (
     ("opaque-slab", {"layers": [{"re": 10000, "width": 10}], "x0": -5}, (
         ["sweep", "--backend", "stack", "--format", "csv", "--k-range", "0.3:3.0:60"],
         ["sweep", "--backend", "stack", "--format", "json", "--k-range", "0.3:3.0:60"],
         ["verify", "--k", "1"],
         ["verify", "--k", "1", "--format", "json"],
+        ["verify", "--k-range", "0.3:3.0:60"],
+        ["verify", "--k-range", "0.3:3.0:60", "--long"],
+        ["verify", "--k-range", "0.3:3.0:60", "--format", "json"],
         ["scan", "--k-range", DENSE_SCAN],
     )),
     ("pt-bilayer-singular", {"family": "pt-bilayer", "params": {"gamma": GAMMA_STAR}}, (
         ["sweep", "--format", "json", "--k-range", f"{K_STAR}:1.2:3"],
         ["verify", "--k", K_STAR, "--format", "json"],
+        ["verify", "--format", "json", "--k-range", f"{K_STAR}:1.2:3"],
     )),
 )
 
