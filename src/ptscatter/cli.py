@@ -17,9 +17,9 @@ import numpy as np
 from . import io as tables
 from .identities import identity_report, worst_residual
 from .potentials import PotentialError, parse_potential_spec
-from .scan import (DEFAULT_REFINE_TOL, SPECTRAL_SINGULARITY, ScanResult, SweepResult,
+from .scan import (DEFAULT_REFINE_TOL, ScanResult, SweepResult, _residual,
                    find_spectral_singularities, find_unidirectional_points, sweep)
-from .transfer import ODE, STACK, BackendError, ConvergenceError, resolve_backend, scattering_at
+from .transfer import ODE, STACK, BackendError, ConvergenceError, compute_transfer, resolve_backend
 
 TOL_ENV_VAR = "PTSCATTER_TOL"
 DEFAULT_VERIFY_TOL = 1e-8
@@ -198,7 +198,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cross_check_features(p, res, ode_tol):
-    """Annotate each feature with the ODE backend's value of the objective.
+    """Annotate each feature with the ODE backend's value of its residual.
 
     Only meaningful for layer potentials (where the primary run used the
     stack backend); other kinds are returned unchanged.
@@ -207,15 +207,7 @@ def _cross_check_features(p, res, ode_tol):
         return res
     out = []
     for f in res.features:
-        s = scattering_at(p, f.k_star, ODE, ode_tol)
-        if f.kind == SPECTRAL_SINGULARITY:
-            val = s.condition
-        elif "left" in f.kind:
-            val = abs(s.R_left)
-        elif "right" in f.kind:
-            val = abs(s.R_right)
-        else:
-            val = max(abs(s.R_left), abs(s.R_right))
+        val = _residual(f.kind, compute_transfer(p, f.k_star, ODE, ode_tol))
         note = (f.note + "; " if f.note else "") + f"cross-backend({ODE}) residual = {val:.3e}"
         out.append(replace(f, note=note))
     return replace(res, features=tuple(out))

@@ -28,6 +28,7 @@ from .transfer import (
     DEFAULT_ODE_TOL,
     ScatteringData,
     TransferMatrix,
+    abs2,
     negative_k_matrix,
     scattering_data,
     transfer_matrices,
@@ -127,18 +128,6 @@ def phases(s: ScatteringData, pt_symmetric: bool = False) -> PhaseRecord:
             m2 = round(x)
             res2 = abs(x - m2)
     return PhaseRecord(tau, lam, rho, m1, m2, res1, res2)
-
-
-def abs2(z: complex) -> float:
-    """abs(z) ** 2, or inf where that overflows float64 (|z| above about 1.34e154).
-
-    CPython's abs() of a complex with a NaN part leaves errno as it was, so
-    after an earlier overflow it raises OverflowError too: that z gives NaN.
-    """
-    try:
-        return abs(z) ** 2
-    except OverflowError:
-        return math.nan if cmath.isnan(z) else math.inf
 
 
 def _require_finite(*ss: ScatteringData):

@@ -16,10 +16,10 @@ from dataclasses import asdict, replace
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from .identities import IDENTITY_IDS, IdentityEntry, IdentityReport, PhaseRecord, abs2
+from .identities import IDENTITY_IDS, IdentityEntry, IdentityReport, PhaseRecord
 from .potentials import SymmetryClass
 from .scan import Feature, ScanResult, SweepResult
-from .transfer import ScatteringData
+from .transfer import ScatteringData, abs2
 
 CSV_FORMAT = "csv"
 JSON_FORMAT = "json"

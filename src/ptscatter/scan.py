@@ -1,15 +1,14 @@
-"""k-interval sweeps and feature location: singularities, reflectionless points.
+"""k-interval sweeps and feature location: singularities, reflectionless and invisible points.
 
-Features of interest are real wavenumbers where a modulus touches zero:
-|M22| for spectral singularities (poles of T and R), |R_left| / |R_right| for
-one-sided reflectionlessness. All location is done on the squared modulus by
-bracketed derivative-free minimization of grid local minima; a zero is
-accepted only when the refined modulus is at or below an acceptance floor, so
-shallow dips are never promoted to features.
+A feature is a real wavenumber where the modulus that _OBJECTIVES assigns to
+its kind touches zero. Grid local minima of the squared modulus are refined by
+bracketed derivative-free minimization, and a zero is accepted only when the
+refined modulus is at or below an acceptance floor, so shallow dips are never
+promoted to features.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -21,7 +20,10 @@ from .transfer import (
     BackendError,
     ConvergenceError,
     ScatteringData,
+    TransferMatrix,
+    abs2,
     compute_transfer,
+    modulus,
     resolve_backend,
     scattering_data,
     stack_matrices,
@@ -95,32 +97,39 @@ def sweep(p: Potential, k_grid, backend: str = "auto",
     return SweepResult(tuple(rows), tuple(errors))
 
 
-# the quantity whose modulus vanishes at each located feature kind, from M's entries
+# per feature kind, the modulus that vanishes there, from M's entries (for the refined
+# kinds also the grid's numpy columns): squared, the grid's and Brent's objective; at k*,
+# the feature's residual and the ODE value that `scan --backend both` reports
 _OBJECTIVES = {
-    SPECTRAL_SINGULARITY: lambda m11, m12, m21, m22: m22,
-    REFLECTIONLESS_LEFT: lambda m11, m12, m21, m22: -m21 / m22,
-    REFLECTIONLESS_RIGHT: lambda m11, m12, m21, m22: m12 / m22,
+    SPECTRAL_SINGULARITY: lambda m11, m12, m21, m22: modulus(m22),
+    REFLECTIONLESS_LEFT: lambda m11, m12, m21, m22: modulus(-m21 / m22),
+    REFLECTIONLESS_RIGHT: lambda m11, m12, m21, m22: modulus(m12 / m22),
+    BIDIRECTIONAL_REFLECTIONLESS: lambda *m: min(_OBJECTIVES[REFLECTIONLESS_LEFT](*m),
+                                                 _OBJECTIVES[REFLECTIONLESS_RIGHT](*m)),
+    INVISIBLE_LEFT: lambda *m: _OBJECTIVES[REFLECTIONLESS_LEFT](*m) + modulus(1.0 / m[3] - 1.0),
+    INVISIBLE_RIGHT: lambda *m: _OBJECTIVES[REFLECTIONLESS_RIGHT](*m) + modulus(1.0 / m[3] - 1.0),
 }
 
+# a one-sided reflection zero: the opposite side, and its kind when T = 1 there too
+_SIDES = {REFLECTIONLESS_LEFT: (REFLECTIONLESS_RIGHT, INVISIBLE_LEFT),
+          REFLECTIONLESS_RIGHT: (REFLECTIONLESS_LEFT, INVISIBLE_RIGHT)}
 
-def _grid_matrices(p, ks, backend, tol):
-    """M on the grid: one stack-kernel array, or one ODE TransferMatrix per k."""
+
+def _residual(kind: str, m: TransferMatrix) -> float:
+    return _OBJECTIVES[kind](m.m11, m.m12, m.m21, m.m22)
+
+
+def _grid_matrices(p, ks, backend, tol) -> np.ndarray:
+    """M on the grid as one (n, 2, 2) array: the stack kernel's, or the ODE rows stacked."""
     if resolve_backend(p, backend) == STACK:
         return stack_matrices(p, ks)
-    return [compute_transfer(p, float(k), backend, tol) for k in ks]
+    rows = [(m.m11, m.m12, m.m21, m.m22) for m in transfer_matrices(p, ks, backend, tol)]
+    return np.array(rows, dtype=complex).reshape(-1, 2, 2)
 
 
-def _grid_objective(mats, kind) -> np.ndarray:
-    """|objective|^2 per grid k: numpy on the stack columns, Python complex per ODE matrix."""
-    extract = _OBJECTIVES[kind]
-    if isinstance(mats, np.ndarray):
-        return np.abs(extract(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])) ** 2
-    return np.asarray([abs(extract(m.m11, m.m12, m.m21, m.m22)) ** 2 for m in mats])
-
-
-def _objective_scalar(p, k, backend, tol, extract):
-    m = compute_transfer(p, float(k), backend, tol)
-    return abs(extract(m.m11, m.m12, m.m21, m.m22)) ** 2
+def _grid_objective(mats: np.ndarray, kind) -> np.ndarray:
+    """Squared objective of kind at every grid k."""
+    return _OBJECTIVES[kind](mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]) ** 2
 
 
 def _local_minima(values: np.ndarray) -> np.ndarray:
@@ -128,8 +137,8 @@ def _local_minima(values: np.ndarray) -> np.ndarray:
     return np.nonzero(interior)[0] + 1
 
 
-def _refine(p, triple, backend, tol, refine_tol, extract) -> tuple[float, float, tuple[float, float]]:
-    """Minimize the squared objective inside a grid bracket (a, b, c), f(b) lowest.
+def _refine(p, triple, kind, backend, tol, refine_tol) -> tuple[float, TransferMatrix]:
+    """k* and M(k*) minimizing kind's squared objective in a grid bracket (a, b, c), f(b) lowest.
 
     Brent with an explicit bracket converges to the requested xtol; the
     bounded variant is only a fallback because it cannot localize better than
@@ -137,7 +146,12 @@ def _refine(p, triple, backend, tol, refine_tol, extract) -> tuple[float, float,
     floors used here.
     """
     a, b, c = triple
-    objective = lambda k: _objective_scalar(p, k, backend, tol, extract)
+    seen = {}  # M at every k evaluated; k* is one of them
+
+    def objective(k):
+        m = seen[k] = compute_transfer(p, float(k), backend, tol)
+        return abs2(_residual(kind, m))
+
     try:
         res = minimize_scalar(objective, bracket=(a, b, c), method="brent",
                               options={"xtol": refine_tol, "maxiter": 500})
@@ -146,26 +160,58 @@ def _refine(p, triple, backend, tol, refine_tol, extract) -> tuple[float, float,
     except (ValueError, RuntimeError):
         res = minimize_scalar(objective, bounds=(a, c), method="bounded",
                               options={"xatol": refine_tol, "maxiter": 500})
-    return float(res.x), float(np.sqrt(max(res.fun, 0.0))), (a, c)
+    return float(res.x), seen[res.x]
 
 
-def _k_grid(k_min, k_max, grid_step):
+def _classify(f: Feature, m: TransferMatrix, tol) -> Feature | None:
+    """A one-sided reflection zero as found, bidirectional, or invisible; None if not finite."""
+    s = scattering_data(m)
+    if not s.finite:
+        return None
+    opposite, invisible = _SIDES[f.kind]
+    note, tau = f"|T-1| = {modulus(s.T - 1.0):.3e}", f", tau = {np.angle(s.T):.6f}"
+    if _residual(opposite, m) <= 10.0 * tol:
+        return replace(f, kind=BIDIRECTIONAL_REFLECTIONLESS,
+                       note=f"both reflections vanish; {note}{tau}")
+    if check_invisibility(f, s):
+        return replace(f, kind=invisible, note=note)
+    return replace(f, note=note + tau)
+
+
+def _locate(p, k_min, k_max, grid_step, kinds, tol, backend, ode_tol) -> ScanResult:
+    """Features at each kind's grid minima whose refined objective reaches the acceptance floor."""
     if not (0 < k_min < k_max):
         raise ValueError("need 0 < k_min < k_max")
     if not grid_step > 0:
         raise ValueError("grid_step must be positive")
     n = int(np.floor((k_max - k_min) / grid_step + 0.5)) + 1
     ks = k_min + grid_step * np.arange(n)
-    return ks[ks <= k_max + 1e-12 * max(1.0, k_max)]
-
-
-def _refined_zeros(p, ks, values, kind, tol, backend, ode_tol):
-    """(k*, refined modulus, bracket) per grid minimum accepted as a zero of kind's objective."""
-    for i in _local_minima(values):
-        triple = (float(ks[i - 1]), float(ks[i]), float(ks[i + 1]))
-        k_star, resid, bracket = _refine(p, triple, backend, ode_tol, tol, _OBJECTIVES[kind])
-        if resid <= ACCEPTANCE_FLOOR:
-            yield k_star, resid, bracket
+    ks = ks[ks <= k_max + 1e-12 * max(1.0, k_max)]
+    mats = _grid_matrices(p, ks, backend, ode_tol)
+    features = []
+    for kind in kinds:
+        values = _grid_objective(mats, kind)
+        if np.all(np.sqrt(values) < ACCEPTANCE_FLOOR):
+            continue
+        for i in _local_minima(values):
+            triple = ks[i - 1:i + 2].tolist()
+            k_star, m = _refine(p, triple, kind, backend, ode_tol, tol)
+            if not _residual(kind, m) <= ACCEPTANCE_FLOOR:
+                continue
+            f = Feature(kind, k_star, 0.0, (triple[0], triple[2]), boundary_warning=(
+                k_star - k_min < grid_step or k_max - k_star < grid_step))
+            if kind in _SIDES:
+                f = _classify(f, m, tol)
+            if f is not None:
+                features.append(replace(f, residual=_residual(f.kind, m)))
+    features.sort(key=lambda f: f.k_star)
+    # bidirectional records found from both sides within max(10*tol, 1e-9) count as one
+    kept = features[:1]
+    for f in features[1:]:
+        if not (f.kind == kept[-1].kind == BIDIRECTIONAL_REFLECTIONLESS
+                and f.k_star - kept[-1].k_star <= max(10.0 * tol, 1e-9)):
+            kept.append(f)
+    return ScanResult(tuple(kept), k_min, k_max, grid_step)
 
 
 def find_spectral_singularities(
@@ -175,20 +221,12 @@ def find_spectral_singularities(
 ) -> ScanResult:
     """Locate real-k zeros of M22 (poles of the amplitudes) on [k_min, k_max].
 
-    Grid local minima of |M22|^2 are refined by bounded minimization to
+    Grid local minima of |M22|^2 are refined by Brent's method to
     bracket width <= tol and accepted only when the refined |M22| is at or
     below the acceptance floor. Real potentials cannot host such zeros, so
     scanning them is expected to return an empty feature list.
     """
-    ks = _k_grid(k_min, k_max, grid_step)
-    values = _grid_objective(_grid_matrices(p, ks, backend, ode_tol), SPECTRAL_SINGULARITY)
-    features = tuple(
-        Feature(kind=SPECTRAL_SINGULARITY, k_star=k_star, residual=resid, bracket=bracket,
-                boundary_warning=(k_star - k_min < grid_step or k_max - k_star < grid_step))
-        for k_star, resid, bracket in _refined_zeros(
-            p, ks, values, SPECTRAL_SINGULARITY, tol, backend, ode_tol)
-    )
-    return ScanResult(features, k_min, k_max, grid_step)
+    return _locate(p, k_min, k_max, grid_step, (SPECTRAL_SINGULARITY,), tol, backend, ode_tol)
 
 
 def check_invisibility(feature: Feature, s: ScatteringData) -> bool:
@@ -198,8 +236,7 @@ def check_invisibility(feature: Feature, s: ScatteringData) -> bool:
     vanish as well, so the test is |T(k*) - 1| <= INVISIBILITY_TOL on the
     full complex T.
     """
-    if feature.kind not in (REFLECTIONLESS_LEFT, REFLECTIONLESS_RIGHT,
-                            BIDIRECTIONAL_REFLECTIONLESS, INVISIBLE_LEFT, INVISIBLE_RIGHT):
+    if feature.kind not in _OBJECTIVES or feature.kind == SPECTRAL_SINGULARITY:
         raise ValueError(f"not a reflectionless feature: {feature.kind}")
     return bool(s.finite and abs(s.T - 1.0) <= INVISIBILITY_TOL)
 
@@ -218,44 +255,4 @@ def find_unidirectional_points(
     reflectionless on the entire grid (the free potential) has no isolated
     zeros and reports no features.
     """
-    sides = (
-        (REFLECTIONLESS_LEFT, INVISIBLE_LEFT, lambda s: abs(s.R_right)),
-        (REFLECTIONLESS_RIGHT, INVISIBLE_RIGHT, lambda s: abs(s.R_left)),
-    )
-    ks = _k_grid(k_min, k_max, grid_step)
-    mats = _grid_matrices(p, ks, backend, ode_tol)  # shared by both sides
-    features = []
-    for kind, invisible_kind, opposite in sides:
-        values = _grid_objective(mats, kind)
-        if np.all(np.sqrt(values) < ACCEPTANCE_FLOOR):
-            continue  # reflectionless everywhere on this side: no isolated features
-        for k_star, resid, bracket in _refined_zeros(p, ks, values, kind, tol, backend, ode_tol):
-            s = scattering_data(compute_transfer(p, k_star, backend, ode_tol))
-            if not s.finite:
-                continue
-            one_sided = opposite(s) > 10.0 * tol
-            t_dev = abs(s.T - 1.0)
-            near_edge = k_star - k_min < grid_step or k_max - k_star < grid_step
-            if one_sided and t_dev <= INVISIBILITY_TOL:
-                feature_kind = invisible_kind
-                residual = resid + t_dev
-                note = f"|T-1| = {t_dev:.3e}"
-            else:
-                feature_kind = kind if one_sided else BIDIRECTIONAL_REFLECTIONLESS
-                residual = resid
-                prefix = "" if one_sided else "both reflections vanish; "
-                note = prefix + f"|T-1| = {t_dev:.3e}, tau = {np.angle(s.T):.6f}"
-            features.append(Feature(
-                kind=feature_kind, k_star=k_star, residual=residual, bracket=bracket,
-                boundary_warning=near_edge, note=note,
-            ))
-    features.sort(key=lambda f: f.k_star)
-    # drop duplicate bidirectional records found from both sides
-    deduped: list[Feature] = []
-    for f in features:
-        if (f.kind == BIDIRECTIONAL_REFLECTIONLESS and deduped
-                and deduped[-1].kind == BIDIRECTIONAL_REFLECTIONLESS
-                and abs(deduped[-1].k_star - f.k_star) <= max(10.0 * tol, 1e-9)):
-            continue
-        deduped.append(f)
-    return ScanResult(tuple(deduped), k_min, k_max, grid_step)
+    return _locate(p, k_min, k_max, grid_step, tuple(_SIDES), tol, backend, ode_tol)

@@ -36,6 +36,26 @@ STACK = "stack"
 ODE = "ode"
 
 
+def modulus(z: complex) -> float:
+    """abs(z) that cannot raise: inf past float64's range, NaN for a NaN part.
+
+    CPython's abs() of a complex with a NaN part leaves errno as it was, so
+    after an earlier float overflow it raises OverflowError too.
+    """
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.nan if cmath.isnan(z) else math.inf
+
+
+def abs2(z: complex) -> float:
+    """abs(z) ** 2, or inf where that overflows float64 (|z| above about 1.34e154)."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.nan if cmath.isnan(z) else math.inf
+
+
 class BackendError(RuntimeError):
     """Requested backend cannot handle this potential kind."""
 
@@ -60,7 +80,7 @@ class TransferMatrix:
     @property
     def condition(self) -> float:
         """|M22|: proximity to a spectral singularity (0 = singular)."""
-        return abs(self.m22)
+        return modulus(self.m22)
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=complex)
@@ -254,7 +274,7 @@ def transfer_matrices(p: Potential, ks, backend: str = "auto",
 
 def scattering_data(m: TransferMatrix) -> ScatteringData:
     """Amplitudes from the transfer-matrix dictionary; non-finite at singularities or overflow."""
-    cond = abs(m.m22)
+    cond = modulus(m.m22)
     if cond <= SINGULARITY_FLOOR:
         nan = complex(math.nan, math.nan)
         return ScatteringData(m.k, nan, nan, nan, nan, False, cond, m.backend)

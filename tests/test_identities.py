@@ -26,7 +26,6 @@ from ptscatter.identities import (
     R_NEGK_CONJ,
     RECIPROCITY_GEN,
     T_NEGK_CONJ,
-    abs2,
     phases,
     residual_generalized_unitarity,
     residual_negk_amplitudes,
@@ -37,6 +36,7 @@ from ptscatter.identities import (
     residual_t_parity,
     residual_unitarity_real,
 )
+from ptscatter.transfer import abs2
 
 
 def _free_data():

@@ -9,6 +9,7 @@ from ptscatter import (
     classify_symmetry,
     find_unidirectional_points,
     identity_report,
+    scattering_at,
     sweep,
 )
 from ptscatter import identities, kernels
@@ -16,7 +17,7 @@ from ptscatter import io as tables
 from ptscatter.catalog import barrier, free, onesided, pt_bilayer, pt_stack4
 from ptscatter.cli import run_command
 from ptscatter.identities import GEN_UNITARITY_L, NEGK_AMPLITUDES, RECIPROCITY_GEN
-from ptscatter.potentials import PotentialError
+from ptscatter.potentials import PotentialError, parse_potential_spec
 from ptscatter.scan import ScanResult, SweepResult
 
 POTS = {
@@ -349,3 +350,60 @@ def test_verify_exit_matches_report_contents(pot_files, capsys):
         worst = max(r.max_applicable_residual() for r in reports)
         assert code == (0 if worst <= 1e-8 else 1)
         assert code == expect
+
+
+PT2L = {"layers": [{"re": -0.1534134432452603, "im": 0.00015804652321999013, "width": 3.0},
+                   {"re": -0.1534134432452603, "im": -0.00015804652321999013, "width": 3.0}],
+        "x0": -3.0}
+PT2L_RANGE = "0.8957570661443863:3.3957570661443865:2000"
+
+
+def _scan_features(tmp_path, capsys, spec, argv):
+    f = tmp_path / "pot.json"
+    f.write_text(json.dumps(spec))
+    code = run_command(["scan", "--potential", str(f)] + argv)
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    return parse_potential_spec(json.dumps(spec)), tables.scan_from_csv(out.out)
+
+
+def test_bidirectional_residual_is_smaller_reflection(tmp_path, capsys):
+    # a two-layer PT stack whose bidirectional zeros have |R_left| != |R_right|
+    pot, features = _scan_features(tmp_path, capsys, PT2L,
+                                   ["--backend", "stack", "--k-range", PT2L_RANGE])
+    bidirectional = [f for f in features if f.kind == "bidirectional_reflectionless"]
+    assert len(bidirectional) == 3
+    for f in bidirectional:
+        s = scattering_at(pot, f.k_star, "stack")
+        assert f.residual == min(abs(s.R_left), abs(s.R_right))
+
+
+def _ode_residual(pot, kind, k):
+    """The residual rule of each scan feature kind, from the ODE backend's amplitudes."""
+    s = scattering_at(pot, k, "ode", 1e-10)
+    r_left, r_right = abs(s.R_left), abs(s.R_right)
+    return {
+        "spectral_singularity": s.condition,
+        "reflectionless_left": r_left,
+        "reflectionless_right": r_right,
+        "bidirectional_reflectionless": min(r_left, r_right),
+        "invisible_left": r_left + abs(s.T - 1.0),
+        "invisible_right": r_right + abs(s.T - 1.0),
+    }[kind]
+
+
+@pytest.mark.parametrize("spec,k_range,kinds", [
+    ({"family": "barrier"}, "0.3:3:271", {"bidirectional_reflectionless"}),
+    ({"family": "pt-stack4"}, "0.3:3:271", {"reflectionless_left"}),
+    ({"family": "pt-bilayer", "params": {"gamma": 2.071737124880286}}, "0.3:3:50",
+     {"spectral_singularity", "reflectionless_right"}),
+    (PT2L, PT2L_RANGE, {"bidirectional_reflectionless", "reflectionless_left",
+                        "reflectionless_right"}),
+], ids=["barrier", "pt-stack4", "pt-bilayer-singular", "pt2L"])
+def test_scan_backend_both_note_is_ode_residual(tmp_path, capsys, spec, k_range, kinds):
+    pot, features = _scan_features(tmp_path, capsys, spec,
+                                   ["--backend", "both", "--k-range", k_range])
+    assert {f.kind for f in features} == kinds
+    for f in features:
+        expected = f"cross-backend(ode) residual = {_ode_residual(pot, f.kind, f.k_star):.3e}"
+        assert f.note.endswith(expected), (f.kind, f.note, expected)

@@ -230,3 +230,35 @@ def test_unidirectional_scan_integrates_each_grid_k_once(monkeypatch):
     bump = SampledPotential((-1.0, 0.0, 1.0), (0.0, 1.0 + 0.5j, 0.0))
     find_unidirectional_points(bump, 0.5, 0.9, 0.1, backend="ode")
     assert integrated == pytest.approx([0.5, 0.6, 0.7, 0.8, 0.9])
+
+
+def test_unidirectional_scan_ode_grid_finds_stack_zero():
+    # the ODE backend's grid is its rows stacked into one array, as the stack kernel's is
+    stack = find_unidirectional_points(pt_stack4(), 0.3, 3.0, 0.01)
+    ode = find_unidirectional_points(pt_stack4(), 0.3, 3.0, 0.01, backend="ode")
+    assert [f.kind for f in ode.features] == [f.kind for f in stack.features] == [REFLECTIONLESS_LEFT]
+    assert abs(ode.features[0].k_star - stack.features[0].k_star) <= 1e-6
+
+
+def _leave_errno_at_erange():
+    try:
+        1e200 ** 2
+    except OverflowError:
+        pass
+
+
+def test_moduli_of_nan_entries_do_not_raise():
+    # CPython's abs() of a complex with a NaN part keeps errno from an earlier
+    # float overflow and raises OverflowError; every modulus here reads NaN
+    m = transfer.TransferMatrix(1, 0, 0, complex(np.nan, 1.0), 1.0)
+    _leave_errno_at_erange()
+    assert np.isnan(m.condition)
+    _leave_errno_at_erange()
+    s = transfer.scattering_data(m)
+    assert not s.finite and np.isnan(s.condition)
+    for kind in scan._OBJECTIVES:
+        _leave_errno_at_erange()
+        assert np.isnan(scan._residual(kind, m))
+    _leave_errno_at_erange()
+    assert transfer.modulus(complex(1.5e308, 1.5e308)) == np.inf
+    assert transfer.abs2(1e200 + 0j) == np.inf

@@ -2,7 +2,7 @@
 
 Runs `sweep`, `verify` and `scan` in-process (through `cli.run_command`) on
 the seven `catalog.corpus()` potentials, each given as the spec
-{"family": NAME}, and on two potentials whose rows are not finite (EXTRAS),
+{"family": NAME}, and on the potentials in EXTRAS,
 and prints for every run its argv, exit code, and the sha256 of stdout and
 of stderr. Two checkouts whose lines are identical give
 byte-identical tables, diagnostics and exit codes on this matrix:
@@ -31,9 +31,11 @@ DENSE_VERIFY, SPARSE_VERIFY = "0.3:3.0:9", "0.4:2.9:3"
 DENSE_SCAN, SPARSE_SCAN = "0.3:3.0:271", "0.3:3.0:10"
 ODE_ONLY = "scarf2-pt"  # the one analytic profile: every run integrates the ODE
 GAMMA_STAR, K_STAR = 2.071737124880286, "1.064682550561970"  # a pt-bilayer singularity
+PT2L_SCAN = "0.8957570661443863:3.3957570661443865:2000"
 
-# name, spec, argv: a slab whose product overflows (NaN and inf rows), and
-# pt-bilayer at a spectral singularity; each includes multi-k verify batches
+# name, spec, argv: a slab whose product overflows (NaN and inf rows),
+# pt-bilayer at a spectral singularity, each with multi-k verify batches, and
+# a two-layer PT stack whose bidirectional zeros have unequal |R_left| and |R_right|
 EXTRAS = (
     ("opaque-slab", {"layers": [{"re": 10000, "width": 10}], "x0": -5}, (
         ["sweep", "--backend", "stack", "--format", "csv", "--k-range", "0.3:3.0:60"],
@@ -49,6 +51,13 @@ EXTRAS = (
         ["sweep", "--format", "json", "--k-range", f"{K_STAR}:1.2:3"],
         ["verify", "--k", K_STAR, "--format", "json"],
         ["verify", "--format", "json", "--k-range", f"{K_STAR}:1.2:3"],
+    )),
+    ("pt2L", {"layers": [{"re": -0.1534134432452603, "im": 0.00015804652321999013, "width": 3.0},
+                         {"re": -0.1534134432452603, "im": -0.00015804652321999013, "width": 3.0}],
+              "x0": -3.0}, (
+        ["scan", "--backend", "stack", "--k-range", PT2L_SCAN],
+        ["scan", "--backend", "stack", "--format", "json", "--k-range", PT2L_SCAN],
+        ["scan", "--backend", "both", "--k-range", PT2L_SCAN],
     )),
 )
 
@@ -68,6 +77,8 @@ def runs(name: str):
     k_range = SPARSE_SCAN if ode_only else DENSE_SCAN
     for extra in ([], ["--format", "json"], ["--backend", "both"]):
         yield ["scan", "--k-range", k_range] + extra
+    if not ode_only:
+        yield ["scan", "--backend", "ode", "--k-range", SPARSE_SCAN]
 
 
 def digest(argv) -> tuple[int, str, str]:
