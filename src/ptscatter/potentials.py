@@ -167,11 +167,11 @@ class AnalyticPotential:
                 f"unknown analytic family {self.family!r}; "
                 f"known: {sorted(ANALYTIC_FAMILIES)}"
             )
-        if not self.truncation > 0:
-            raise PotentialError("truncation threshold must be positive")
+        if not (self.truncation > 0 and np.isfinite(self.truncation)):
+            raise PotentialError("truncation threshold must be positive and finite")
         try:
             ANALYTIC_FAMILIES[self.family](0.0, **self.params)
-        except TypeError as exc:
+        except (TypeError, ArithmeticError) as exc:
             raise PotentialError(f"bad parameters for family {self.family!r}: {exc}") from exc
         object.__setattr__(self, "_support", _truncated_support(self._raw, self.truncation))
 
@@ -219,7 +219,7 @@ def _truncated_support(vfun, threshold) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SymmetryClass:
-    """Sampled symmetry diagnosis of a potential.
+    """Symmetry diagnosis of a potential (see classify_symmetry).
 
     Flags are tolerance judgements on the sup-norm of the defining residuals:
     realness |Im v|, evenness |v(-x) - v(x)|, PT |v(-x)* - v(x)|.
@@ -239,25 +239,33 @@ class SymmetryClass:
 
 
 def classify_symmetry(p: Potential) -> SymmetryClass:
-    """Sample a symmetric grid on [-L, L], L = max |support edge|, and test flags.
+    """Flags from exact sup-norms for layers and samples, a grid for analytic profiles.
 
-    Jump discontinuities are never probed: the pointwise value at a jump is a
-    measure-zero convention, not part of the symmetry. At a layer edge,
-    evaluate returns the right-hand layer, so v(e) and v(-e) would compare
-    layers from opposite sides of the mirror. Midpoint sampling keeps x = 0
-    off the grid, and grid points within a few ulps of any |edge| are dropped.
+    Folded onto x >= 0, the breakpoints cut [0, L], L = max |support edge|, into
+    intervals where v(x) and v(-x) are both constant (layers: read at midpoints)
+    or both linear (samples: the residual peaks at an end, read from inside the
+    interval, so a jump at a support edge counts on its own side). Folded points
+    within max(8, n) ulps of L merge, n the number of breakpoints: edges summed
+    from n widths may differ from their mirror images by about that much.
+    Analytic profiles are read on DEFAULT_CLASS_SAMPLES // 2 midpoints of [0, L].
     """
     tol = DEFAULT_CLASS_TOL
     lo, hi = p.support_interval()
     half = max(abs(lo), abs(hi))
     if half == 0.0:
         return SymmetryClass(True, True, True, 0.0, 0.0, 0.0, tol)
-    m = DEFAULT_CLASS_SAMPLES // 2
-    xs = (np.arange(m) + 0.5) * (half / m)
-    if p.kind == LayerPotential.kind:
-        xs = _off_edges(xs, p.edges, 8 * np.spacing(half))
-    v_pos = np.asarray(p.evaluate(xs), dtype=complex)
-    v_neg = np.asarray(p.evaluate(-xs), dtype=complex)
+    if p.kind == AnalyticPotential.kind:
+        m = DEFAULT_CLASS_SAMPLES // 2
+        xs = mids = (np.arange(m) + 0.5) * (half / m)
+    else:
+        b = _breakpoints(p)
+        f = np.unique(np.abs(np.append(b, 0.0)))
+        f = f[np.append(True, np.diff(f) > max(8, b.size) * np.spacing(half))]
+        xs = mids = (f[:-1] + f[1:]) / 2
+        if p.kind == SampledPotential.kind:  # both ends, each masked by its midpoint
+            xs, mids = np.concatenate((f[:-1], f[1:])), np.tile(mids, 2)
+    v_pos, v_neg = (np.where((lo < s * mids) & (s * mids < hi), p.evaluate(s * xs), 0.0)
+                    for s in (1.0, -1.0))
     real_viol = float(max(np.max(np.abs(v_pos.imag)), np.max(np.abs(v_neg.imag))))
     even_viol = float(np.max(np.abs(v_neg - v_pos)))
     pt_viol = float(np.max(np.abs(np.conj(v_neg) - v_pos)))
@@ -272,12 +280,19 @@ def classify_symmetry(p: Potential) -> SymmetryClass:
     )
 
 
-def _off_edges(xs: np.ndarray, edges: np.ndarray, gap: float) -> np.ndarray:
-    """The sorted points xs that lie farther than gap from every |edge|."""
-    e = np.sort(np.abs(edges))
-    i = np.clip(np.searchsorted(e, xs), 1, e.size - 1)
-    nearest = np.minimum(np.abs(xs - e[i - 1]), np.abs(e[i] - xs))
-    return xs[nearest > gap]
+def _breakpoints(p: Potential) -> np.ndarray:
+    """Sorted points, support ends included, between which v is smooth.
+
+    Layer edges; the ends of each run of samples on one line (slopes compared
+    exactly); an analytic profile's support ends.
+    """
+    if isinstance(p, LayerPotential) and p.values:
+        return p.edges
+    if isinstance(p, SampledPotential):
+        slope = np.diff(p._vs) / np.diff(p._xs)
+        kinks = np.nonzero(slope[1:] != slope[:-1])[0] + 1
+        return p._xs[np.concatenate(([0], kinks, [len(p.xs) - 1]))]
+    return np.array(p.support_interval())
 
 
 def parse_potential_spec(text: str) -> Potential:

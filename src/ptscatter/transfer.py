@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import kernels
-from .potentials import LayerPotential, Potential, SampledPotential
+from .potentials import LayerPotential, Potential, _breakpoints
 
 if TYPE_CHECKING:  # pragma: no cover
     from .identities import PhaseRecord
@@ -174,24 +174,6 @@ def stack_matrices(p: Potential, ks) -> np.ndarray:
     )
 
 
-def _ode_segments(p: Potential) -> list[tuple[float, float]]:
-    """Integration pieces: one per layer, or per run of samples on one straight line.
-
-    Sample runs split only where the slope changes (compared exactly), so
-    constant and collinear stretches are one piece and every kink starts one.
-    """
-    if isinstance(p, LayerPotential) and p.values:
-        e = p.edges
-    elif isinstance(p, SampledPotential):
-        xs = np.asarray(p.xs)
-        slope = np.diff(np.asarray(p.vs)) / np.diff(xs)
-        kinks = np.nonzero(slope[1:] != slope[:-1])[0] + 1
-        e = xs[np.concatenate(([0], kinks, [xs.size - 1]))]
-    else:
-        return [p.support_interval()]
-    return [(float(a), float(b)) for a, b in zip(e[:-1], e[1:])]
-
-
 def transfer_matrix_ode(p: Potential, k: float, tol: float = DEFAULT_ODE_TOL) -> TransferMatrix:
     """Integrate -psi'' + v psi = k^2 psi across the support, column by column.
 
@@ -217,7 +199,8 @@ def transfer_matrix_ode(p: Potential, k: float, tol: float = DEFAULT_ODE_TOL) ->
 
     el = np.exp(1j * k * lo)
     y = np.array([el, 1j * k * el, 1.0 / el, -1j * k / el], dtype=complex)
-    for a, b in _ode_segments(p):
+    e = _breakpoints(p).tolist()
+    for a, b in zip(e[:-1], e[1:]):
         sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=tol, atol=tol)
         if not sol.success:
             raise ConvergenceError(

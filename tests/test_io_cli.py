@@ -287,6 +287,12 @@ def test_cli_usage_errors_exit_two(pot_files, capsys, tmp_path):
     bad.write_text('{"layers":[{"width":-1}]}')
     assert run_command(["verify", "--potential", str(bad), "--k", "1.0"]) == 2
     capsys.readouterr()
+    # analytic parameters that divide by zero, and a truncation that is not finite
+    for spec in ('{"family":"gaussian","params":{"width":0}}',
+                 '{"family":"scarf2","truncation":1e400}'):
+        bad.write_text(spec)
+        assert run_command(["verify", "--potential", str(bad), "--k", "1.0"]) == 2
+        capsys.readouterr()
     assert run_command(["nonsense"]) == 2
     capsys.readouterr()
     # non-finite k is a usage error, not a table of nan/inf rows or a failed identity

@@ -92,13 +92,21 @@ def test_classify_real_even_barrier():
     assert max(sym.real_violation, sym.even_violation, sym.pt_violation) == 0.0
 
 
-def test_classify_pt_bilayer():
-    sym = classify_symmetry(pt_bilayer())
-    assert sym.is_pt_symmetric
-    assert not sym.is_real and not sym.is_even
-    assert sym.pt_violation <= 1e-15
-    assert sym.real_violation == pytest.approx(0.5, abs=1e-12)
-    assert sym.even_violation == pytest.approx(1.0, abs=1e-12)
+@pytest.mark.parametrize("p,flags,violations", [
+    (pt_bilayer(), (False, False, True), (0.5, 1.0, 0.0)),
+    # spikes narrower than a 1e-3-spaced sampling grid
+    (LayerPotential((2, 2, 30, 2), (1, 0.5001, 2e-4, 0.4997), -1),
+     (True, False, False), (0.0, 28.0, 28.0)),
+    (SampledPotential((-1, 0.3, 0.3001, 0.3002, 1), (0, 0, 5, 0, 0)),
+     (True, False, False), (0.0, 5.0, 5.0)),
+    # the supremum is the limit at x -> 1+, where v(x) -> 1 and v(-x) = 0
+    (SampledPotential((-1.0, 1.0, 2.0), (1.0, 1.0, 0.0)),
+     (True, False, False), (0.0, 1.0, 1.0)),
+], ids=["pt-bilayer", "layer-spike", "sampled-spike", "sampled-edge-limit"])
+def test_classify_exact_violations(p, flags, violations):
+    sym = classify_symmetry(p)
+    assert (sym.is_real, sym.is_even, sym.is_pt_symmetric) == flags
+    assert (sym.real_violation, sym.even_violation, sym.pt_violation) == violations
 
 
 def test_classify_onesided_no_class():

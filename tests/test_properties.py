@@ -7,7 +7,7 @@ import math
 from dataclasses import asdict
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ptscatter import (
@@ -38,7 +38,8 @@ from ptscatter.transfer import ODE, STACK, ScatteringData, stack_matrices
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 layer_value = st.tuples(finite, finite).map(lambda t: complex(*t))
-widths = st.floats(min_value=0.05, max_value=0.8)
+# down to 1e-6: layers far narrower than any fixed sampling grid
+widths = st.floats(min_value=1e-6, max_value=0.8)
 
 
 @st.composite
@@ -110,9 +111,14 @@ def test_negk_is_involutive(m):
     assert negative_k_matrix(negative_k_matrix(m)) == m
 
 
-@given(layer_stacks())
+# a change of one layer or sample that must break PT symmetry
+deltas = st.complex_numbers(min_magnitude=1e-8, max_magnitude=4.0, allow_nan=False,
+                            allow_infinity=False)
+
+
+@given(layer_stacks(), st.data())
 @settings(max_examples=40, deadline=None)
-def test_pt_completion_classifies_pt(p):
+def test_pt_completion_classifies_pt(p, data):
     # v(x) = w(x) + w(-x)^* built from an arbitrary stack w
     n = len(p.values)
     ws = np.asarray(p.widths)
@@ -123,15 +129,27 @@ def test_pt_completion_classifies_pt(p):
     sym = classify_symmetry(q)
     assert sym.is_pt_symmetric
     assert sym.pt_violation <= 1e-12
+    # changing any one layer by delta breaks PT by |delta|, up to rounding
+    i, delta = data.draw(st.integers(0, 2 * n - 1)), data.draw(deltas)
+    full_vals[i] += delta
+    sym = classify_symmetry(LayerPotential(tuple(full_vals), q.widths, q.x_left))
+    assert not sym.is_pt_symmetric
+    assert abs(sym.pt_violation - abs(delta)) <= 1e-14
 
 
-@given(st.lists(st.tuples(finite, finite), min_size=2, max_size=30))
+@given(st.lists(st.tuples(finite, finite), min_size=2, max_size=30), st.data())
 @settings(max_examples=40, deadline=None)
-def test_sampled_pt_completion(points):
+def test_sampled_pt_completion(points, data):
     xs = np.linspace(-1.5, 1.5, len(points))
     w = np.array([complex(a, b) for a, b in points])
-    p = SampledPotential(tuple(xs), tuple(w + np.conj(w[::-1])))
-    assert classify_symmetry(p).is_pt_symmetric
+    vs = w + np.conj(w[::-1])
+    assert classify_symmetry(SampledPotential(tuple(xs), tuple(vs))).is_pt_symmetric
+    # changing any one sample breaks PT, except a real change of an odd grid's
+    # centre sample, which stays real and so PT
+    i, delta = data.draw(st.integers(0, vs.size - 1)), data.draw(deltas)
+    assume(2 * i != vs.size - 1 or abs(delta.imag) >= 1e-8)
+    vs[i] += delta
+    assert not classify_symmetry(SampledPotential(tuple(xs), tuple(vs))).is_pt_symmetric
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

@@ -23,6 +23,8 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
+
 from ptscatter.catalog import corpus
 from ptscatter.cli import run_command
 
@@ -33,9 +35,20 @@ ODE_ONLY = "scarf2-pt"  # the one analytic profile: every run integrates the ODE
 GAMMA_STAR, K_STAR = 2.071737124880286, "1.064682550561970"  # a pt-bilayer singularity
 PT2L_SCAN = "0.8957570661443863:3.3957570661443865:2000"
 
+# perfbench's 13-point sampled PT bump (SMALL_R_SPEC in perfbench/workloads.py)
+SAMPLED_PT = {"samples": [{"x": float(x), "re": float(np.exp(-x * x)),
+                           "im": float(0.3 * x * np.exp(-x * x))}
+                          for x in np.linspace(-3.0, 3.0, 13)]}
+# 2e-4 and 1e-4 wide real spikes, off-centre: neither even nor PT
+LAYER_SPIKE = {"layers": [{"re": 2, "width": 1}, {"re": 2, "width": 0.5001},
+                          {"re": 30, "width": 2e-4}, {"re": 2, "width": 0.4997}], "x0": -1}
+SAMPLED_SPIKE = {"samples": [{"x": x, "re": v} for x, v in
+                             ((-1, 0), (0.3, 0), (0.3001, 5), (0.3002, 0), (1, 0))]}
+
 # name, spec, argv: a slab whose product overflows (NaN and inf rows),
-# pt-bilayer at a spectral singularity, each with multi-k verify batches, and
-# a two-layer PT stack whose bidirectional zeros have unequal |R_left| and |R_right|
+# pt-bilayer at a spectral singularity, each with multi-k verify batches,
+# a two-layer PT stack whose bidirectional zeros have unequal |R_left| and |R_right|,
+# a sampled profile, and two spikes narrower than any fixed classification grid
 EXTRAS = (
     ("opaque-slab", {"layers": [{"re": 10000, "width": 10}], "x0": -5}, (
         ["sweep", "--backend", "stack", "--format", "csv", "--k-range", "0.3:3.0:60"],
@@ -58,6 +71,17 @@ EXTRAS = (
         ["scan", "--backend", "stack", "--k-range", PT2L_SCAN],
         ["scan", "--backend", "stack", "--format", "json", "--k-range", PT2L_SCAN],
         ["scan", "--backend", "both", "--k-range", PT2L_SCAN],
+    )),
+    ("sampled-pt", SAMPLED_PT, (
+        ["sweep", "--format", "json", "--k-range", "0.5:3.0:4"],
+        ["verify", "--format", "json", "--k-range", "0.5:3.0:3"],
+    )),
+    ("layer-spike", LAYER_SPIKE, (
+        ["verify", "--k", "1"],
+        ["verify", "--k", "1", "--format", "json"],
+    )),
+    ("sampled-spike", SAMPLED_SPIKE, (
+        ["verify", "--k", "1", "--format", "json"],
     )),
 )
 
