@@ -30,6 +30,7 @@ from .transfer import (
     TransferMatrix,
     abs2,
     negative_k_matrix,
+    resolve_backend,
     scattering_data,
     transfer_matrices,
 )
@@ -346,9 +347,11 @@ def identity_report(
     """Evaluate the full identity catalog at one k, or at each k of a 1-D array.
 
     A float k gives one IdentityReport, an array a tuple of them in k order.
-    The potential is classified once, and M(k) and M(-k) come from one
-    transfer_matrices call per sign: two independent backend runs (never the
-    sigma1 swap), so the negative-k identities are genuine cross-checks.
+    The potential is classified once. M(k) and M(-k) come from one
+    transfer_matrices call on k1, -k1, k2, ... when both signs use one
+    backend, or from one call per sign: -k is always its own backend row
+    (never the sigma1 swap), so the negative-k identities are genuine
+    cross-checks. A failed ODE solve raises in that order, at its pair.
     """
     ks = np.asarray(k, dtype=float)
     if ks.ndim > 1:
@@ -357,8 +360,13 @@ def identity_report(
         raise ValueError("k = 0: zero-energy scattering is excluded")
     sym = classify_symmetry(p)
     flat = ks.reshape(-1)
-    pairs = zip(flat.tolist(), transfer_matrices(p, flat, backend, tol_ode),
-                transfer_matrices(p, -flat, backend_negk or backend, tol_ode))
+    backend_negk = backend_negk or backend
+    if resolve_backend(p, backend) == resolve_backend(p, backend_negk):
+        both = transfer_matrices(p, np.column_stack((flat, -flat)).reshape(-1), backend, tol_ode)
+        pairs = zip(flat.tolist(), both, both)
+    else:
+        pairs = zip(flat.tolist(), transfer_matrices(p, flat, backend, tol_ode),
+                    transfer_matrices(p, -flat, backend_negk, tol_ode))
     reports = tuple(_report(k, m_k, m_negk, sym) for k, m_k, m_negk in pairs)
     return reports if ks.ndim else reports[0]
 

@@ -347,7 +347,10 @@ def parse_potential_spec(text: str) -> Potential:
     if not isinstance(params, dict):
         raise PotentialError("'params' must be an object")
     if family in ANALYTIC_FAMILIES:
-        truncation = float(doc.get("truncation", DEFAULT_TRUNCATION))
+        try:
+            truncation = float(doc.get("truncation", DEFAULT_TRUNCATION))
+        except (TypeError, ValueError) as exc:
+            raise PotentialError(f"'truncation': malformed number: {exc}") from exc
         return AnalyticPotential(family, params, truncation)
     # catalog names (layer builders) are accepted through the same syntax
     from .catalog import builtin_potential, builtin_potentials

@@ -17,7 +17,6 @@ from .potentials import Potential
 from .transfer import (
     DEFAULT_ODE_TOL,
     STACK,
-    BackendError,
     ConvergenceError,
     ScatteringData,
     TransferMatrix,
@@ -71,7 +70,7 @@ class SweepResult:
 
 def sweep(p: Potential, k_grid, backend: str = "auto",
           tol: float = DEFAULT_ODE_TOL) -> SweepResult:
-    """One ScatteringData per grid point; per-row backend errors do not abort."""
+    """One ScatteringData per grid point; a k whose ODE solve failed gets an error row."""
     ks = np.asarray(k_grid, dtype=float)
     if ks.ndim != 1 or ks.size == 0:
         raise ValueError("k grid must be a nonempty 1D array")
@@ -82,18 +81,15 @@ def sweep(p: Potential, k_grid, backend: str = "auto",
     if np.any(np.diff(ks) <= 0):
         raise ValueError("k grid must be strictly increasing")
     backend = resolve_backend(p, backend)
-    errors: list[tuple[float, str]] = []
-    if backend == STACK:
-        rows = [scattering_data(m) for m in transfer_matrices(p, ks, STACK)]
-    else:
-        rows = []
-        for k in ks:
-            try:
-                rows.append(scattering_data(compute_transfer(p, float(k), backend, tol)))
-            except (ConvergenceError, BackendError) as exc:
-                errors.append((float(k), str(exc)))
-                nan = complex(float("nan"), float("nan"))
-                rows.append(ScatteringData(float(k), nan, nan, nan, nan, False, 0.0, backend))
+    matrices = transfer_matrices(p, ks, backend, tol)
+    rows, errors = [], []
+    for k in ks.tolist():
+        try:
+            rows.append(scattering_data(next(matrices)))
+        except ConvergenceError as exc:
+            errors.append((k, str(exc)))
+            nan = complex(float("nan"), float("nan"))
+            rows.append(ScatteringData(k, nan, nan, nan, nan, False, 0.0, backend))
     return SweepResult(tuple(rows), tuple(errors))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -175,46 +176,111 @@ def stack_matrices(p: Potential, ks) -> np.ndarray:
 
 
 def transfer_matrix_ode(p: Potential, k: float, tol: float = DEFAULT_ODE_TOL) -> TransferMatrix:
-    """Integrate -psi'' + v psi = k^2 psi across the support, column by column.
+    """The ODE backend at one k: the n = 1 case of transfer_matrices' integrator."""
+    return next(transfer_matrices(p, [k], ODE, tol))
 
-    Initial data at the left support edge are exact plane waves e^{+-ikx}
-    (valid because v vanishes outside the support); (A_plus, B_plus) are read
-    off psi and psi' at the right edge. Both columns are propagated in one
-    4-component complex system. Integration restarts at layer boundaries and
-    at the sample abscissae where the slope changes, so the adaptive
-    controller never steps across a jump or a kink of the profile.
+
+# solve_ivp raises a smaller rtol to this floor (with a warning)
+_RTOL_FLOOR = 100 * np.finfo(float).eps
+
+
+def _ode_chunk(tol: float) -> int:
+    """Most k in one system: tol / sqrt(n) stays at or above the rtol floor."""
+    n = max(1, int((tol / _RTOL_FLOOR) ** 2))
+    while n > 1 and tol / math.sqrt(n) < _RTOL_FLOOR:
+        n -= 1
+    return n
+
+
+def _integrate(p: Potential, ks: np.ndarray, tol: float) -> np.ndarray:
+    """M(k) at every k of ks, shape (n, 2, 2), from one DOP853 system of 4n components.
+
+    Solves -psi'' + v psi = k^2 psi across the support for both columns of
+    every k at once. Initial data at the left support edge are exact plane
+    waves e^{+-ikx} (valid because v vanishes outside the support);
+    (A_plus, B_plus) are read off psi and psi' at the right edge. The
+    solve restarts at each breakpoint, so no step crosses a jump or a kink
+    of the profile; on a layer the constant v is read once, from the middle
+    of the piece, so no stage sees the next layer's value at the edge.
+    solve_ivp bounds the RMS of the scaled error over all 4n components, so
+    rtol = atol = tol / sqrt(n) keeps each k's bound that of a solve at tol alone.
     """
-    if k == 0:
+    n = ks.size
+    k2 = ks * ks
+    ik = 1j * ks
+    lo, hi = p.support_interval()
+    el = np.exp(ik * lo)
+    y = np.concatenate((el, ik * el, 1.0 / el, -ik / el))
+    tol_n = tol / math.sqrt(n)
+
+    def rhs(x, y, g=None):
+        if g is None:
+            g = p.evaluate(x) - k2
+        y = y.reshape(2, 2, n)  # column, (psi, psi'), k
+        f = np.empty_like(y)
+        f[:, 0] = y[:, 1]
+        np.multiply(g, y[:, 0], out=f[:, 1])
+        return f.reshape(-1)
+
+    e = _breakpoints(p).tolist()
+    for a, b in zip(e[:-1], e[1:]):
+        fun = partial(rhs, g=p.evaluate((a + b) / 2) - k2) \
+            if isinstance(p, LayerPotential) else rhs
+        sol = solve_ivp(fun, (a, b), y, method="DOP853", rtol=tol_n, atol=tol_n, t_eval=(b,))
+        if not sol.success:
+            where = f"k={ks.tolist()[0]}" if n == 1 else f"{n} k"
+            raise ConvergenceError(f"integration failed on [{a}, {b}] at {where}: {sol.message}")
+        y = sol.y[:, -1]
+    psi1, dpsi1, psi2, dpsi2 = y.reshape(4, n)
+    er = np.exp(ik * hi)
+    # A = e^{-ikx}(psi/2 + psi'/(2ik)), B = e^{ikx}(psi/2 - psi'/(2ik)) at x = hi
+    m = np.empty((n, 2, 2), dtype=complex)
+    m[:, 0, 0] = (psi1 / 2 + dpsi1 / (2 * ik)) / er
+    m[:, 1, 0] = (psi1 / 2 - dpsi1 / (2 * ik)) * er
+    m[:, 0, 1] = (psi2 / 2 + dpsi2 / (2 * ik)) / er
+    m[:, 1, 1] = (psi2 / 2 - dpsi2 / (2 * ik)) * er
+    return m
+
+
+def _ode_rows(p: Potential, ks: np.ndarray, tol: float) -> list:
+    """One TransferMatrix per k, or the ConvergenceError of a k whose own solve failed.
+
+    The k are solved in as few systems as the rtol floor allows. A system
+    that fails is redone one k at a time, so only the k that fail alone
+    are lost, each with the message of its own solve.
+    """
+    if np.any(ks == 0):
         raise ValueError("k = 0: zero-energy scattering is excluded")
     if not tol > 0:
         raise ValueError("tol must be positive")
     lo, hi = p.support_interval()
-    if lo == hi:
-        return TransferMatrix(1.0, 0.0, 0.0, 1.0, float(k), ODE)
+    if lo == hi or not ks.size:
+        return [TransferMatrix(1.0, 0.0, 0.0, 1.0, k, ODE) for k in ks.tolist()]
+    rows = []
+    for chunk in np.array_split(ks, -(-ks.size // _ode_chunk(tol))):
+        try:
+            rows.extend(_rows(chunk, _integrate(p, chunk, tol), ODE))
+        except ConvergenceError as exc:
+            if chunk.size == 1:
+                rows.append(exc)
+            else:
+                for i in range(chunk.size):
+                    rows.extend(_ode_rows(p, chunk[i:i + 1], tol))
+    return rows
 
-    def rhs(x, y):
-        v = p.evaluate(x)
-        g = v - k * k
-        return np.array([y[1], g * y[0], y[3], g * y[2]], dtype=complex)
 
-    el = np.exp(1j * k * lo)
-    y = np.array([el, 1j * k * el, 1.0 / el, -1j * k / el], dtype=complex)
-    e = _breakpoints(p).tolist()
-    for a, b in zip(e[:-1], e[1:]):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=tol, atol=tol)
-        if not sol.success:
-            raise ConvergenceError(
-                f"integration failed on [{a}, {b}] at k={k}: {sol.message}"
-            )
-        y = sol.y[:, -1]
-    er = np.exp(1j * k * hi)
-    ik = 1j * k
-    # A = e^{-ikx}(psi/2 + psi'/(2ik)), B = e^{ikx}(psi/2 - psi'/(2ik)) at x = hi
-    m11 = (y[0] / 2 + y[1] / (2 * ik)) / er
-    m21 = (y[0] / 2 - y[1] / (2 * ik)) * er
-    m12 = (y[2] / 2 + y[3] / (2 * ik)) / er
-    m22 = (y[2] / 2 - y[3] / (2 * ik)) * er
-    return TransferMatrix(complex(m11), complex(m12), complex(m21), complex(m22), float(k), ODE)
+def _rows(ks: np.ndarray, m: np.ndarray, backend: str):
+    """TransferMatrix rows of an (n, 2, 2) array, its columns taken once as Python complexes."""
+    columns = (m[:, 0, 0].tolist(), m[:, 0, 1].tolist(), m[:, 1, 0].tolist(),
+               m[:, 1, 1].tolist())
+    return (TransferMatrix(m11, m12, m21, m22, k, backend)
+            for k, m11, m12, m21, m22 in zip(ks.tolist(), *columns))
+
+
+def _drawn(row):
+    if isinstance(row, ConvergenceError):
+        raise row
+    return row
 
 
 def resolve_backend(p: Potential, backend: str) -> str:
@@ -238,21 +304,17 @@ def transfer_matrices(p: Potential, ks, backend: str = "auto",
                       tol: float = DEFAULT_ODE_TOL):
     """An iterator of one TransferMatrix per k of a 1-D array, in k order.
 
-    Rows are built as they are drawn, so a caller that consumes each row at
-    once holds one at a time. Stack: one kernel call, made here, whose four
-    columns are taken once as Python complexes, so each row's arithmetic
-    downstream is the scalar path's. ODE: one transfer_matrix_ode per row
-    drawn, so a caller that zips the +k and -k iterators solves in the
-    order k, -k, next k.
+    Stack: one kernel call, made here, and rows built as they are drawn, so
+    a caller that consumes each row at once holds one at a time. ODE: every
+    k in one DOP853 system (more only where tol / sqrt(n) would fall below
+    solve_ivp's rtol floor), solved here. A k whose solve failed raises its
+    ConvergenceError when drawn, and drawing goes on with the next k.
     """
     ks = np.asarray(ks, dtype=float)
     if resolve_backend(p, backend) == STACK:
-        m = stack_matrices(p, ks)
-        columns = (m[:, 0, 0].tolist(), m[:, 0, 1].tolist(), m[:, 1, 0].tolist(),
-                   m[:, 1, 1].tolist())
-        return (TransferMatrix(m11, m12, m21, m22, k, STACK)
-                for k, m11, m12, m21, m22 in zip(ks.tolist(), *columns))
-    return (transfer_matrix_ode(p, k, tol) for k in ks.tolist())
+        return _rows(ks, stack_matrices(p, ks), STACK)
+    # map's iterator, unlike a generator's, survives an exception raised for one row
+    return map(_drawn, _ode_rows(p, ks, tol))
 
 
 def scattering_data(m: TransferMatrix) -> ScatteringData:

@@ -48,3 +48,30 @@ def amplitudes_oracle(m):
     """(T, R_left, R_right) read from a transfer matrix array."""
     t = 1.0 / m[1, 1]
     return t, -m[1, 0] / m[1, 1], m[0, 1] / m[1, 1]
+
+
+def scarf2_transmission_oracle(k, v1, v2, alpha, dps=30):
+    """Exact T(k) of v = -v1 sech^2(alpha x) + i v2 sech(alpha x) tanh(alpha x).
+
+    Closed form of Khare & Sukhatme, J. Phys. A 21 (1988) L501, and Ahmed,
+    Phys. Lett. A 282 (2001) 343, evaluated with mpmath at dps digits: with
+    q = k/alpha, a = sqrt(v1/alpha^2 + 1/4 + v2/alpha^2) and
+    b = sqrt(v1/alpha^2 + 1/4 - v2/alpha^2) (complex square roots),
+    A = (a + b)/2 - 1/2 and beta = (a - b)/2,
+
+        T = G(-A - iq) G(1 + A - iq) G(1/2 - beta - iq) G(1/2 + beta - iq)
+            / [G(-iq) G(1 - iq) G(1/2 - iq)^2].
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        q = mpmath.mpf(k) / alpha
+        u1, u2 = mpmath.mpf(v1) / alpha ** 2, mpmath.mpf(v2) / alpha ** 2
+        a = mpmath.sqrt(mpmath.mpc(u1 + 0.25 + u2))
+        b = mpmath.sqrt(mpmath.mpc(u1 + 0.25 - u2))
+        big_a, beta = (a + b) / 2 - 0.5, (a - b) / 2
+        iq = 1j * q
+        g = mpmath.gamma
+        t = (g(-big_a - iq) * g(1 + big_a - iq) * g(0.5 - beta - iq) * g(0.5 + beta - iq)
+             / (g(-iq) * g(1 - iq) * g(0.5 - iq) ** 2))
+        return complex(t)

@@ -19,7 +19,6 @@ from ptscatter import (
     invariance_residual,
     scattering_data,
     stack_matrices,
-    transfer_matrix_ode,
     transfer_matrix_stack,
 )
 from ptscatter import io as tables
@@ -41,6 +40,7 @@ from ptscatter.identities import (
     residual_negk_matrix,
     residual_pt_pseudo_unitarity,
 )
+from ptscatter.transfer import transfer_matrices
 
 K_GRID = np.linspace(0.3, 3.0, 50)
 ODE_TOL_DET = 1e-9       # criterion 1 pins this tolerance
@@ -66,10 +66,8 @@ def stack_sweeps(pots):
 
 @pytest.fixture(scope="module")
 def ode_sweeps(pots):
-    out = {}
-    for name, p in pots.items():
-        out[name] = [transfer_matrix_ode(p, float(k), ODE_TOL_DET) for k in K_GRID]
-    return out
+    return {name: list(transfer_matrices(p, K_GRID, "ode", ODE_TOL_DET))
+            for name, p in pots.items()}
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +75,8 @@ def pm_data(pots):
     """Scattering data at (+k, -k) from independent runs, per potential.
 
     Layer potentials use the exact stack backend on both sides; the smooth
-    profile uses the integrator at the tight tolerance.
+    profile uses the integrator at the tight tolerance, +k and -k as their
+    own rows of one run.
     """
     out = {}
     for name in LAYER_NAMES:
@@ -88,11 +87,8 @@ def pm_data(pots):
             for i in range(K_GRID.size)
         ]
     p = pots["scarf2-pt"]
-    out["scarf2-pt"] = [
-        (transfer_matrix_ode(p, float(k), ODE_TOL_TIGHT),
-         transfer_matrix_ode(p, float(-k), ODE_TOL_TIGHT))
-        for k in K_GRID
-    ]
+    mats = list(transfer_matrices(p, np.concatenate((K_GRID, -K_GRID)), "ode", ODE_TOL_TIGHT))
+    out["scarf2-pt"] = list(zip(mats[:K_GRID.size], mats[K_GRID.size:]))
     return out
 
 
@@ -295,7 +291,7 @@ def test_c10_symmetry_action_laws(pots):
     for name, p in pots.items():
         sym = classify_symmetry(p)
         if name == "scarf2-pt":
-            mats = [transfer_matrix_ode(p, float(k), ODE_TOL_TIGHT) for k in K_GRID[::5]]
+            mats = list(transfer_matrices(p, K_GRID[::5], "ode", ODE_TOL_TIGHT))
         else:
             mats = [_tm(a, k) for a, k in zip(stack_matrices(p, K_GRID), K_GRID)]
         for m in mats:

@@ -36,7 +36,8 @@ from ptscatter.identities import (
     residual_t_parity,
     residual_unitarity_real,
 )
-from ptscatter.transfer import abs2
+from ptscatter.cli import DEFAULT_VERIFY_TOL
+from ptscatter.transfer import ConvergenceError, abs2, matrix_from_amplitudes
 
 
 def _free_data():
@@ -301,11 +302,9 @@ def test_pt_negk_r_sign_convention():
 
 @pytest.mark.parametrize("pot,ks,backend,backend_negk", [
     (pt_stack4(), (0.3, 0.77, 1.5, 2.9), "stack", None),
-    (pt_stack4(), (0.3, 1.5, 2.9), "ode", None),
-    (pt_bilayer(gamma=0.5), (0.4, 1.1, 2.3), "stack", "ode"),  # verify --backend both
     (LayerPotential((10000.0,), (10.0,), -5.0), np.linspace(0.3, 3.0, 60), "auto", None),
     (pt_bilayer(gamma=2.071737124880286), (1.064682550561970, 1.1, 1.2), "auto", None),
-], ids=["stack", "ode", "both", "opaque-slab", "pt-bilayer-singular"])
+], ids=["stack", "opaque-slab", "pt-bilayer-singular"])
 def test_report_batch_matches_per_k_reports(pot, ks, backend, backend_negk):
     # one pass over the k array gives the reports of one call per k, to the byte
     kwargs = {"backend": backend, "backend_negk": backend_negk, "tol_ode": 1e-11}
@@ -314,6 +313,40 @@ def test_report_batch_matches_per_k_reports(pot, ks, backend, backend_negk):
         single = [identity_report(pot, float(k), **kwargs) for k in ks]
     assert isinstance(batch, tuple) and len(batch) == len(ks)
     assert tables.reports_to_json(batch) == tables.reports_to_json(single)
+
+
+@pytest.mark.parametrize("pot,ks,backend,backend_negk", [
+    (pt_stack4(), (0.3, 1.5, 2.9), "ode", None),
+    (pt_bilayer(gamma=0.5), (0.4, 1.1, 2.3), "stack", "ode"),  # verify --backend both
+], ids=["ode", "both"])
+def test_report_batch_agrees_with_per_k_reports(pot, ks, backend, backend_negk):
+    # the ODE integrates a batch's k in one system, with its own step sequence, so
+    # batch and per-k reports agree to the solve's error, not to the byte: each
+    # entry of M(+-k) within 10 tol max|M|, and every verdict the same
+    tol = 1e-11
+    kwargs = {"backend": backend, "backend_negk": backend_negk, "tol_ode": tol}
+    batch = identity_report(pot, np.asarray(ks), **kwargs)
+    single = [identity_report(pot, float(k), **kwargs) for k in ks]
+    assert len(batch) == len(ks)
+    for got, want in zip(batch, single):
+        assert got.k == want.k
+        for s_got, s_want in ((got.scattering, want.scattering),
+                              (got.scattering_negk, want.scattering_negk)):
+            m_got, m_want = (matrix_from_amplitudes(s.T, s.R_left, s.R_right, s.k).as_array()
+                             for s in (s_got, s_want))
+            assert np.max(np.abs(m_got - m_want)) <= 10 * tol * np.max(np.abs(m_want))
+        verdicts = [[(e.identity, e.applicable, e.residual is not None
+                      and e.residual <= DEFAULT_VERIFY_TOL) for e in r.entries]
+                    for r in (got, want)]
+        assert verdicts[0] == verdicts[1]
+
+
+def test_report_raises_first_failed_solve_in_k_minus_k_order(fail_ode_systems):
+    # M(k) and M(-k) are drawn k1, -k1, k2, -k2: a failure at -k1 is the one
+    # raised, though k2 comes first in the k array of the solve
+    fail_ode_systems([-0.7, 1.1])
+    with pytest.raises(ConvergenceError, match=r"at k=-0\.7: step too small"):
+        identity_report(pt_stack4(), np.array([0.7, 1.1]), backend="ode")
 
 
 def test_squared_moduli_overflow_to_inf():

@@ -91,6 +91,7 @@ def unit_det_matrices(draw):
     if abs(det) < 1e-2:
         m = m + np.eye(2)
         det = np.linalg.det(m)
+    assume(abs(det) >= 1e-2)  # m + I is singular too for some m, e.g. [[-1, a], [0, 0]]
     return TransferMatrix.from_array(m / np.sqrt(det), 1.0)
 
 

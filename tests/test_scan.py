@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from ptscatter import (
-    ConvergenceError,
     Feature,
     ScatteringData,
     check_invisibility,
@@ -66,31 +66,40 @@ def test_sweep_ode_backend_row_errors_do_not_abort():
     assert not res.errors
 
 
-def _raise(error):
-    def compute_transfer(*args):
-        raise error
-
-    return compute_transfer
-
-
-def test_sweep_records_convergence_errors_per_row(monkeypatch):
-    monkeypatch.setattr(scan, "compute_transfer", _raise(ConvergenceError("step too small")))
+def test_sweep_records_convergence_errors_per_row(fail_ode_systems):
+    fail_ode_systems([0.7, 1.1])
     res = sweep(barrier(), np.array([0.7, 1.1]), backend="ode")
-    assert [k for k, _ in res.errors] == [0.7, 1.1]
+    assert res.errors == ((0.7, "integration failed on [-1.0, 1.0] at k=0.7: step too small"),
+                          (1.1, "integration failed on [-1.0, 1.0] at k=1.1: step too small"))
     assert not any(s.finite for s in res.rows)
 
 
-def test_sweep_error_rows_carry_resolved_backend(monkeypatch):
-    monkeypatch.setattr(scan, "compute_transfer", _raise(ConvergenceError("step too small")))
+def test_sweep_error_rows_carry_resolved_backend(fail_ode_systems):
+    fail_ode_systems([0.7, 1.1])
     res = sweep(scarf2(), np.array([0.7, 1.1]))
     assert len(res.errors) == 2
     assert [s.backend for s in res.rows] == ["ode", "ode"]
 
 
-def test_sweep_propagates_programming_errors(monkeypatch):
-    monkeypatch.setattr(scan, "compute_transfer", _raise(TypeError("programming error")))
+def test_sweep_propagates_programming_errors(fail_ode_systems):
+    fail_ode_systems([], error=TypeError("programming error"))
     with pytest.raises(TypeError, match="programming error"):
         sweep(barrier(), np.array([0.7, 1.1]), backend="ode")
+
+
+def test_sweep_one_failing_k_keeps_the_others(fail_ode_systems):
+    # the failed system is redone one k at a time: only the k that fails alone is lost
+    tol = 1e-10
+    ks = np.linspace(0.5, 2.5, 5)
+    clean = sweep(pt_stack4(), np.delete(ks, 2), backend="ode", tol=tol)
+    fail_ode_systems([ks[2]])
+    res = sweep(pt_stack4(), ks, backend="ode", tol=tol)
+    assert [k for k, _ in res.errors] == [ks[2]]
+    assert [s.finite for s in res.rows] == [True, True, False, True, True]
+    for got, want in zip(res.rows[:2] + res.rows[3:], clean.rows):
+        assert got.k == want.k
+        for a, b in ((got.T, want.T), (got.R_left, want.R_left), (got.R_right, want.R_right)):
+            assert abs(a - b) <= 100 * tol
 
 
 def test_singularity_scan_real_potentials_empty():
@@ -216,20 +225,22 @@ def test_onesided_scan_runs_clean():
 
 
 def test_unidirectional_scan_integrates_each_grid_k_once(monkeypatch):
-    # both reflection sides read one M per grid k; refinement is switched off
-    # so every integration counted here is a grid evaluation
-    integrated = []
-    ode = transfer.transfer_matrix_ode
+    # both reflection sides read one M per grid k; refinement is switched off,
+    # so every system started here is the grid's, and it holds each grid k once
+    systems = []
 
-    def counting_ode(p, k, *args):
-        integrated.append(k)
-        return ode(p, k, *args)
+    def recording(fun, t_span, y0, **kwargs):
+        if t_span[0] == -1.0:  # first piece: plane-wave data, psi'/psi = ik
+            n = y0.size // 4
+            systems.append((y0[n:2 * n] / y0[:n]).imag)
+        return solve_ivp(fun, t_span, y0, **kwargs)
 
-    monkeypatch.setattr(transfer, "transfer_matrix_ode", counting_ode)
+    monkeypatch.setattr(transfer, "solve_ivp", recording)
     monkeypatch.setattr(scan, "_local_minima", lambda values: np.array([], dtype=int))
     bump = SampledPotential((-1.0, 0.0, 1.0), (0.0, 1.0 + 0.5j, 0.0))
     find_unidirectional_points(bump, 0.5, 0.9, 0.1, backend="ode")
-    assert integrated == pytest.approx([0.5, 0.6, 0.7, 0.8, 0.9])
+    assert len(systems) == 1
+    assert systems[0] == pytest.approx([0.5, 0.6, 0.7, 0.8, 0.9], rel=1e-12)
 
 
 def test_unidirectional_scan_ode_grid_finds_stack_zero():
@@ -238,6 +249,14 @@ def test_unidirectional_scan_ode_grid_finds_stack_zero():
     ode = find_unidirectional_points(pt_stack4(), 0.3, 3.0, 0.01, backend="ode")
     assert [f.kind for f in ode.features] == [f.kind for f in stack.features] == [REFLECTIONLESS_LEFT]
     assert abs(ode.features[0].k_star - stack.features[0].k_star) <= 1e-6
+
+
+def test_ode_scan_finds_exact_scarf2_singularity():
+    # Scarf II has a spectral singularity where a = 2n + 1 (Ahmed, J. Phys. A 42
+    # (2009) 472005): n = 1 at v1 = 1, v2 = 7.75, alpha = 1, k* = sqrt(v2 - v1 - 1/4) / 2
+    res = find_spectral_singularities(scarf2(1.0, 7.75, 1.0), 1.0, 1.6, 0.02, backend="ode")
+    assert [f.kind for f in res.features] == [SPECTRAL_SINGULARITY]
+    assert abs(res.features[0].k_star - np.sqrt(6.5) / 2) <= 1e-9
 
 
 def _leave_errno_at_erange():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -19,9 +21,9 @@ from ptscatter import (
     transfer_matrix_stack,
 )
 from ptscatter.catalog import barrier, double_barrier, free, onesided, pt_bilayer, pt_stack4, scarf2
-from ptscatter.transfer import resolve_backend
+from ptscatter.transfer import resolve_backend, transfer_matrices
 
-from oracles import stack_matrix_oracle
+from oracles import scarf2_transmission_oracle, stack_matrix_oracle
 
 # frozen from the face-matching composition oracle: PT bilayer gamma=0.5, a=1, k=1
 BILAYER_K1 = np.array([
@@ -169,6 +171,78 @@ def test_ode_restarts_only_at_slope_changes(monkeypatch):
     tent = SampledPotential((-1.0, -0.5, 0.0, 0.5, 1.0), (0.0, 0.5, 1.0, 0.5, 0.0))
     transfer_matrix_ode(tent, 1.0, 1e-10)
     assert calls == [(-1.0, 0.0), (0.0, 1.0)]
+
+
+# a PT stack whose inner pieces end on value jumps
+PT4_EDGES = LayerPotential((0.3 + 0.1j, -0.3, -0.3, 0.3 - 0.1j), (1.5,) * 4, -3.0)
+
+
+def test_ode_layer_pieces_read_only_their_own_layer(monkeypatch):
+    # reading v at a piece's right edge gave the next layer's value to the last
+    # stage of every step there, and 2564 rhs calls with many rejected steps
+    k, tol = -1.7, 1e-12
+    edges = PT4_EDGES.edges.tolist()
+    calls, nfev = [], []
+
+    def checking_solve_ivp(fun, t_span, y0, **kwargs):
+        g_own = PT4_EDGES.values[edges.index(t_span[0])] - k * k
+
+        def checked(x, y):
+            f = fun(x, y)
+            calls.append(np.allclose(f[1], g_own * y[0], rtol=1e-14, atol=0)
+                         and np.allclose(f[3], g_own * y[2], rtol=1e-14, atol=0))
+            return f
+
+        sol = solve_ivp(checked, t_span, y0, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(transfer, "solve_ivp", checking_solve_ivp)
+    m = transfer_matrix_ode(PT4_EDGES, k, tol)
+    assert len(nfev) == 4 and len(calls) == sum(nfev) and all(calls)
+    assert sum(nfev) < 2564 // 2
+    ms = transfer_matrix_stack(PT4_EDGES, k).as_array()
+    assert np.max(np.abs(m.as_array() - ms)) <= 100 * tol * np.max(np.abs(ms))
+
+
+@pytest.mark.parametrize("params", [(1.0, 0.5, 1.0), (2.0, 1.5, 1.3)])
+def test_batched_ode_matches_scarf2_closed_form(params):
+    tol = 1e-10
+    ks = np.linspace(0.3, 3.0, 28)
+    rows = transfer_matrices(scarf2(*params), ks, "ode", tol)
+    worst = max(abs(scattering_data(m).T - scarf2_transmission_oracle(k, *params))
+                for k, m in zip(ks, rows))
+    assert worst <= 100 * tol
+
+
+def test_scarf2_oracle_t_of_minus_k_is_conjugate():
+    # (1, 2, 1): b is imaginary, so A and beta are complex
+    for params in ((1.0, 0.5, 1.0), (2.0, 1.5, 1.3), (1.0, 2.0, 1.0)):
+        for k in (0.3, 0.8, 1.5, 2.4, 3.0):
+            t = scarf2_transmission_oracle(k, *params)
+            assert abs(scarf2_transmission_oracle(-k, *params) - t.conjugate()) <= 1e-14 * abs(t)
+
+
+def test_ode_systems_stay_above_the_rtol_floor(monkeypatch):
+    # tol / sqrt(n) below 100 eps would be raised by solve_ivp with a warning:
+    # the k array is split into the fewest systems that stay above it
+    tol, ks = 1e-13, np.linspace(0.3, 3.0, 50)
+    sizes = []
+
+    def recording(fun, t_span, y0, **kwargs):
+        if t_span[0] == -1.0:  # a system's first piece
+            sizes.append(y0.size // 4)
+        assert kwargs["rtol"] == kwargs["atol"] == tol / np.sqrt(y0.size // 4)
+        return solve_ivp(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(transfer, "solve_ivp", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = list(transfer_matrices(pt_stack4(), ks, "ode", tol))
+    floor = 100 * np.finfo(float).eps
+    assert sum(sizes) == ks.size and all(tol / np.sqrt(n) >= floor for n in sizes)
+    assert len(sizes) == -(-ks.size // int((tol / floor) ** 2))
+    assert [m.k for m in rows] == ks.tolist()
 
 
 def test_ode_scarf2_unit_determinant():
