@@ -18,7 +18,7 @@ from . import io as tables
 from .identities import identity_report, worst_residual
 from .potentials import PotentialError, parse_potential_spec
 from .scan import (DEFAULT_REFINE_TOL, ScanResult, SweepResult, _residual,
-                   find_spectral_singularities, find_unidirectional_points, sweep)
+                   find_spectral_singularities, find_unidirectional_points, shared_work, sweep)
 from .transfer import ODE, STACK, BackendError, ConvergenceError, compute_transfer, resolve_backend
 
 TOL_ENV_VAR = "PTSCATTER_TOL"
@@ -182,10 +182,11 @@ def _cmd_scan(args) -> int:
     k_min, k_max = float(ks[0]), float(ks[-1])
     grid_step = float(ks[1] - ks[0])
     backend = "auto" if args.backend == "both" else args.backend
-    res_ss = find_spectral_singularities(p, k_min, k_max, grid_step, tol=args.tol,
-                                         backend=backend, ode_tol=args.ode_tol)
-    res_ur = find_unidirectional_points(p, k_min, k_max, grid_step, tol=args.tol,
-                                        backend=backend, ode_tol=args.ode_tol)
+    with shared_work():  # one grid and one solve per refine k for both finders
+        res_ss = find_spectral_singularities(p, k_min, k_max, grid_step, tol=args.tol,
+                                             backend=backend, ode_tol=args.ode_tol)
+        res_ur = find_unidirectional_points(p, k_min, k_max, grid_step, tol=args.tol,
+                                            backend=backend, ode_tol=args.ode_tol)
     merged = ScanResult(
         tuple(sorted(res_ss.features + res_ur.features, key=lambda f: f.k_star)),
         k_min, k_max, grid_step,

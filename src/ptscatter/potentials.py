@@ -9,6 +9,7 @@ below a configurable threshold.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -63,6 +64,7 @@ class LayerPotential:
         object.__setattr__(self, "values", tuple(values))
         object.__setattr__(self, "widths", tuple(widths))
         object.__setattr__(self, "x_left", x_left)
+        object.__setattr__(self, "_edge_list", self.edges.tolist())
 
     @property
     def edges(self) -> np.ndarray:
@@ -76,7 +78,13 @@ class LayerPotential:
         return (float(e[0]), float(e[-1]))
 
     def evaluate(self, x):
-        """Value at x (array-friendly). Interior edges take the right layer's value."""
+        """Value at x (array-friendly). Interior edges take the right layer's value.
+
+        A float inside the support (the ODE's per-stage call) is bisected.
+        """
+        e = self._edge_list
+        if isinstance(x, float) and self.values and e[0] <= x <= e[-1]:
+            return self.values[min(bisect_right(e, x), len(self.values)) - 1]
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
         if self.values:
@@ -128,6 +136,22 @@ class SampledPotential:
         return (self.xs[0], self.xs[-1])
 
     def evaluate(self, x):
+        """Linear interpolation, 0 outside the samples (array-friendly).
+
+        A float inside the support (the ODE's per-stage call) is bisected and
+        takes np.interp's arithmetic: v_j at an exact abscissa, else
+        slope * (x - x_j) + v_j per part, so it rounds as the array branch.
+        """
+        xs = self.xs
+        if isinstance(x, float) and xs[0] <= x <= xs[-1]:
+            x = float(x)  # a numpy float64 would make the result numpy's complex
+            j = bisect_right(xs, x) - 1
+            v0 = self.vs[j]
+            if x == xs[j]:
+                return v0.real + 1j * v0.imag
+            v1, dx = self.vs[j + 1], xs[j + 1] - xs[j]
+            return ((v1.real - v0.real) / dx * (x - xs[j]) + v0.real
+                    + 1j * ((v1.imag - v0.imag) / dx * (x - xs[j]) + v0.imag))
         x = np.asarray(x, dtype=float)
         xs, vs = self._xs, self._vs
         out = np.interp(x, xs, vs.real) + 1j * np.interp(x, xs, vs.imag)
@@ -182,8 +206,15 @@ class AnalyticPotential:
         return self._support
 
     def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
+        """The profile inside the truncated support, 0 outside (array-friendly).
+
+        A float inside the support (the ODE's per-stage call) goes in as a
+        numpy float64, which rounds as a 0-d array does (math.exp would not).
+        """
         lo, hi = self._support
+        if isinstance(x, float) and lo <= x <= hi:
+            return complex(self._raw(np.float64(x)))
+        x = np.asarray(x, dtype=float)
         out = np.where((x < lo) | (x > hi), 0.0, self._raw(x))
         return out if out.shape else complex(out)
 

@@ -8,6 +8,8 @@ promoted to features.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -115,12 +117,47 @@ def _residual(kind: str, m: TransferMatrix) -> float:
     return _OBJECTIVES[kind](m.m11, m.m12, m.m21, m.m22)
 
 
+_SHARED: ContextVar[dict | None] = ContextVar("ptscatter_scan_shared", default=None)
+
+
+@contextmanager
+def shared_work():
+    """Scans inside the block share M on equal grids and at equal refine k.
+
+    Both finders of one `scan` command build the same grid, and refinements of
+    different kinds revisit the same k; each M is computed once. M depends only
+    on (potential, backend, ODE tolerance, k), so the results are those of
+    scans run apart. Outside the block every scan computes its own.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _memo(p, backend, tol) -> dict:
+    """M by grid bytes (an (n, 2, 2) array) and by k (a TransferMatrix) for p, backend and tol.
+
+    Kept for the enclosing shared_work(), with p held so that its id is not
+    reused; a fresh dict outside one.
+    """
+    shared = _SHARED.get()
+    if shared is None:
+        return {}
+    return shared.setdefault((id(p), resolve_backend(p, backend), tol), (p, {}))[1]
+
+
 def _grid_matrices(p, ks, backend, tol) -> np.ndarray:
     """M on the grid as one (n, 2, 2) array: the stack kernel's, or the ODE rows stacked."""
-    if resolve_backend(p, backend) == STACK:
-        return stack_matrices(p, ks)
-    rows = [(m.m11, m.m12, m.m21, m.m22) for m in transfer_matrices(p, ks, backend, tol)]
-    return np.array(rows, dtype=complex).reshape(-1, 2, 2)
+    memo, key = _memo(p, backend, tol), ks.tobytes()
+    if key not in memo:
+        if resolve_backend(p, backend) == STACK:
+            memo[key] = stack_matrices(p, ks)
+        else:
+            rows = [(m.m11, m.m12, m.m21, m.m22) for m in transfer_matrices(p, ks, backend, tol)]
+            memo[key] = np.array(rows, dtype=complex).reshape(-1, 2, 2)
+    return memo[key]
 
 
 def _grid_objective(mats: np.ndarray, kind) -> np.ndarray:
@@ -142,11 +179,12 @@ def _refine(p, triple, kind, backend, tol, refine_tol) -> tuple[float, TransferM
     floors used here.
     """
     a, b, c = triple
-    seen = {}  # M at every k evaluated; k* is one of them
+    seen = _memo(p, backend, tol)  # M at every k evaluated; k* is one of them
 
     def objective(k):
-        m = seen[k] = compute_transfer(p, float(k), backend, tol)
-        return abs2(_residual(kind, m))
+        if k not in seen:
+            seen[k] = compute_transfer(p, float(k), backend, tol)
+        return abs2(_residual(kind, seen[k]))
 
     try:
         res = minimize_scalar(objective, bracket=(a, b, c), method="brent",

@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -213,20 +212,25 @@ def _integrate(p: Potential, ks: np.ndarray, tol: float) -> np.ndarray:
     y = np.concatenate((el, ik * el, 1.0 / el, -ik / el))
     tol_n = tol / math.sqrt(n)
 
-    def rhs(x, y, g=None):
-        if g is None:
-            g = p.evaluate(x) - k2
-        y = y.reshape(2, 2, n)  # column, (psi, psi'), k
-        f = np.empty_like(y)
-        f[:, 0] = y[:, 1]
-        np.multiply(g, y[:, 0], out=f[:, 1])
-        return f.reshape(-1)
+    # (psi, psi')' = (psi', (v - k^2) psi) is g * (psi', psi) with g = (1, v - k^2); its
+    # second row is written once per layer piece, or at each stage of any other profile
+    g = np.ones((2, n), dtype=complex)
+    evaluate = p.evaluate
 
+    def constant_v(x, y):
+        return (g * y.reshape(2, 2, n)[:, ::-1]).reshape(-1)  # column, (psi, psi'), k
+
+    def rhs(x, y):
+        np.subtract(evaluate(x), k2, out=g[1])
+        return constant_v(x, y)
+
+    layered = isinstance(p, LayerPotential)
     e = _breakpoints(p).tolist()
     for a, b in zip(e[:-1], e[1:]):
-        fun = partial(rhs, g=p.evaluate((a + b) / 2) - k2) \
-            if isinstance(p, LayerPotential) else rhs
-        sol = solve_ivp(fun, (a, b), y, method="DOP853", rtol=tol_n, atol=tol_n, t_eval=(b,))
+        if layered:
+            np.subtract(evaluate((a + b) / 2), k2, out=g[1])
+        sol = solve_ivp(constant_v if layered else rhs, (a, b), y, method="DOP853",
+                        rtol=tol_n, atol=tol_n, t_eval=(b,))
         if not sol.success:
             where = f"k={ks.tolist()[0]}" if n == 1 else f"{n} k"
             raise ConvergenceError(f"integration failed on [{a}, {b}] at {where}: {sol.message}")

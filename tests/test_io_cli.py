@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from ptscatter import (
     builtin_potential,
@@ -12,7 +13,7 @@ from ptscatter import (
     scattering_at,
     sweep,
 )
-from ptscatter import identities, kernels
+from ptscatter import identities, kernels, transfer
 from ptscatter import io as tables
 from ptscatter.catalog import barrier, free, onesided, pt_bilayer, pt_stack4
 from ptscatter.cli import run_command
@@ -416,3 +417,42 @@ def test_scan_backend_both_note_is_ode_residual(tmp_path, capsys, spec, k_range,
     for f in features:
         expected = f"cross-backend(ode) residual = {_ode_residual(pot, f.kind, f.k_star):.3e}"
         assert f.note.endswith(expected), (f.kind, f.note, expected)
+
+
+# perfbench's 13-point sampled PT bump: reflection zeros near k = 3.4 and 3.9
+SAMPLED_BUMP = {"samples": [{"x": x, "re": float(np.exp(-x * x)),
+                             "im": float(0.3 * x * np.exp(-x * x))}
+                            for x in np.linspace(-3.0, 3.0, 13).tolist()]}
+
+
+@pytest.mark.parametrize("spec,argv", [
+    (SAMPLED_BUMP, ["--backend", "ode", "--k-range", "3.0:4.2:13"]),
+    ({"family": "barrier"}, ["--k-range", "0.3:3:271"]),
+], ids=["ode-sampled-bump", "stack-barrier"])
+def test_scan_computes_its_grid_once_and_each_refine_k_once(tmp_path, capsys, monkeypatch,
+                                                            spec, argv):
+    # both finders share one grid, and the refinements of all kinds share their single-k
+    # solves: the barrier's zeros are bidirectional, so both reflection sides refine each
+    grids, singles = [], []
+
+    def record(ks_or_y0, n):
+        (grids if n > 1 else singles).append(ks_or_y0.tobytes())
+
+    def counting_kernel(values, widths, x_left, ks):
+        record(np.asarray(ks), len(ks))
+        return stack_transfer(values, widths, x_left, ks)
+
+    def counting_solve_ivp(fun, t_span, y0, **kwargs):
+        if t_span[0] == -3.0:  # a system's first piece: y0 is its plane-wave data
+            record(y0, y0.size // 4)
+        return solve_ivp(fun, t_span, y0, **kwargs)
+
+    stack_transfer = kernels.stack_transfer
+    monkeypatch.setattr(kernels, "stack_transfer", counting_kernel)
+    monkeypatch.setattr(transfer, "solve_ivp", counting_solve_ivp)
+    f = tmp_path / "pot.json"
+    f.write_text(json.dumps(spec))
+    assert run_command(["scan", "--potential", str(f)] + argv) == 0
+    capsys.readouterr()
+    assert len(grids) == 1
+    assert singles and len(set(singles)) == len(singles)

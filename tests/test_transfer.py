@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 
 from ptscatter import transfer
 from ptscatter import (
+    AnalyticPotential,
     BackendError,
     LayerPotential,
     SampledPotential,
@@ -204,6 +205,47 @@ def test_ode_layer_pieces_read_only_their_own_layer(monkeypatch):
     ms = transfer_matrix_stack(PT4_EDGES, k).as_array()
     assert np.max(np.abs(m.as_array() - ms)) <= 100 * tol * np.max(np.abs(ms))
 
+
+
+def _array_rhs(p, ks, t_span):
+    """Reference ODE right-hand side: each derivative row written out, v read through
+    evaluate's array branch from a 0-d array (once, at its middle, on a layer piece).
+    """
+    n, k2, (a, b) = ks.size, ks * ks, t_span
+    g_layer = p.evaluate(np.asarray((a + b) / 2)) - k2
+
+    def rhs(x, y):
+        g = g_layer if isinstance(p, LayerPotential) else p.evaluate(np.asarray(x)) - k2
+        y = y.reshape(2, 2, n)
+        f = np.empty_like(y)
+        f[:, 0] = y[:, 1]
+        np.multiply(g, y[:, 0], out=f[:, 1])
+        return f.reshape(-1)
+
+    return rhs
+
+
+_BUMP_XS = np.linspace(-3.0, 3.0, 13)
+_BUMP = SampledPotential(tuple(_BUMP_XS), tuple(
+    np.exp(-_BUMP_XS ** 2) + 0.3j * _BUMP_XS * np.exp(-_BUMP_XS ** 2)))
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("p", [
+    PT4_EDGES, _BUMP, scarf2(1.0, 7.75, 1.0),
+    AnalyticPotential("gaussian", {"height": 1.3, "width": 0.7}),
+], ids=["layers", "sampled-bump", "scarf2", "gaussian"])
+def test_ode_rhs_is_bit_identical_to_the_array_reference(monkeypatch, p, n):
+    ks = np.linspace(0.4, 2.9, n)
+
+    def with_reference_rhs(fun, t_span, y0, **kwargs):
+        return solve_ivp(_array_rhs(p, ks, t_span), t_span, y0, **kwargs)
+
+    monkeypatch.setattr(transfer, "solve_ivp", with_reference_rhs)
+    expected = transfer._integrate(p, ks, 1e-10)
+    monkeypatch.undo()
+    got = transfer._integrate(p, ks, 1e-10)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))  # signed zeros too
 
 @pytest.mark.parametrize("params", [(1.0, 0.5, 1.0), (2.0, 1.5, 1.3)])
 def test_batched_ode_matches_scarf2_closed_form(params):

@@ -48,7 +48,9 @@ SAMPLED_SPIKE = {"samples": [{"x": x, "re": v} for x, v in
 # name, spec, argv: a slab whose product overflows (NaN and inf rows),
 # pt-bilayer at a spectral singularity, each with multi-k verify batches,
 # a two-layer PT stack whose bidirectional zeros have unequal |R_left| and |R_right|,
-# a sampled profile, and two spikes narrower than any fixed classification grid
+# a sampled profile, two spikes narrower than any fixed classification grid,
+# and Scarf II round its n = 1 spectral singularity k* = sqrt(6.5) / 2; the ODE
+# scans of the sampled profile and of Scarf II refine grid minima
 EXTRAS = (
     ("opaque-slab", {"layers": [{"re": 10000, "width": 10}], "x0": -5}, (
         ["sweep", "--backend", "stack", "--format", "csv", "--k-range", "0.3:3.0:60"],
@@ -75,6 +77,7 @@ EXTRAS = (
     ("sampled-pt", SAMPLED_PT, (
         ["sweep", "--format", "json", "--k-range", "0.5:3.0:4"],
         ["verify", "--format", "json", "--k-range", "0.5:3.0:3"],
+        ["scan", "--backend", "ode", "--k-range", "3.0:4.2:13"],
     )),
     ("layer-spike", LAYER_SPIKE, (
         ["verify", "--k", "1"],
@@ -82,6 +85,9 @@ EXTRAS = (
     )),
     ("sampled-spike", SAMPLED_SPIKE, (
         ["verify", "--k", "1", "--format", "json"],
+    )),
+    ("scarf2-singular", {"family": "scarf2", "params": {"v1": 1, "v2": 7.75}}, (
+        ["scan", "--k-range", "1.0:1.6:61"],
     )),
 )
 
