@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,28 +55,6 @@ GEN_UNITARITY_R = "GEN_UNITARITY_R"
 R_PHASE_REAL = "R_PHASE_REAL"
 PT_NEGK_R = "PT_NEGK_R"
 
-# symmetry classes whose members are guaranteed to satisfy each identity, in
-# catalog order: report entries and table columns follow this order
-_CLAIMED_FOR = {
-    RECIPROCITY_REAL: ("real", "even"),
-    UNITARITY_REAL: ("real",),
-    PT_PSEUDO_UNITARITY: ("real", "pt"),
-    PHASE_SUM_REAL: ("real",),
-    PHASE_SUM_PT: ("real", "pt"),
-    NEGK_MATRIX: ("any",),
-    NEGK_AMPLITUDES: ("any",),
-    D_PHASE: ("real", "pt"),
-    R_NEGK_CONJ: ("real",),
-    T_NEGK_CONJ: ("real", "pt"),
-    RECIPROCITY_GEN: ("real", "pt"),
-    T_MODULUS_PARITY: ("real", "pt"),
-    GEN_UNITARITY_L: ("real", "pt"),
-    GEN_UNITARITY_R: ("real", "pt"),
-    R_PHASE_REAL: ("real",),
-    PT_NEGK_R: ("real", "pt"),
-}
-IDENTITY_IDS = tuple(_CLAIMED_FOR)
-
 
 @dataclass(frozen=True)
 class PhaseRecord:
@@ -96,13 +74,6 @@ class PhaseRecord:
     m2: int | None = None
     m1_residue: float | None = None
     m2_residue: float | None = None
-
-    @property
-    def parity(self) -> int | None:
-        """Parity of m1 + m2 (0 even, 1 odd), or None if either is absent."""
-        if self.m1 is None or self.m2 is None:
-            return None
-        return (self.m1 + self.m2) % 2
 
 
 def phases(s: ScatteringData, pt_symmetric: bool = False) -> PhaseRecord:
@@ -131,86 +102,41 @@ def phases(s: ScatteringData, pt_symmetric: bool = False) -> PhaseRecord:
     return PhaseRecord(tau, lam, rho, m1, m2, res1, res2)
 
 
-def _require_finite(*ss: ScatteringData):
-    for s in ss:
-        if not s.finite:
-            raise ValueError("identity undefined: non-finite amplitudes (near a spectral singularity)")
+def _t_phase(s: ScatteringData) -> complex:
+    """e^{-2i tau} = T^*/T, or 1 where T = 0."""
+    return (s.T.conjugate() / s.T) if s.T != 0 else 1.0
 
 
-def _dist_to_multiple(x: float, period: float) -> float:
-    """Distance from x to the nearest integer multiple of period."""
-    r = math.remainder(x, period)
-    return abs(r)
-
-
-def residual_reciprocity_real(s: ScatteringData) -> float:
-    """| |R_l| - |R_r| | (reciprocity of real potentials; exact for even ones)."""
-    _require_finite(s)
-    return abs(abs(s.R_left) - abs(s.R_right))
-
-
-def residual_unitarity_real(s: ScatteringData) -> float:
-    """max over sides of | |R|^2 + |T|^2 - 1 |."""
-    _require_finite(s)
-    t2 = abs2(s.T)
-    return max(abs(abs2(s.R_left) + t2 - 1.0), abs(abs2(s.R_right) + t2 - 1.0))
-
-
-def residual_pt_pseudo_unitarity(s: ScatteringData) -> tuple[float, int]:
-    """Residual of |T|^2 +- |R_l R_r| = 1 with the sign of 1 - |T|^2, and that sign."""
-    _require_finite(s)
+def _pseudo_unitarity(s: ScatteringData) -> float:
+    """Residual of |T|^2 +- |R_l R_r| = 1 with the sign of 1 - |T|^2."""
     t2 = abs2(s.T)
     sign = 0 if t2 == 1.0 else (1 if t2 < 1.0 else -1)
-    return abs(t2 + sign * abs(s.R_left * s.R_right) - 1.0), sign
+    return abs(t2 + sign * abs(s.R_left * s.R_right) - 1.0)
 
 
-def residual_generalized_unitarity(s_k: ScatteringData, s_negk: ScatteringData,
-                                   side: str) -> float:
-    """|R_side(k) R_side(-k) + |T(k)|^2 - 1|, the shared real/PT unitarity form."""
-    _require_finite(s_k, s_negk)
-    if side == "left":
-        prod = s_k.R_left * s_negk.R_left
-    elif side == "right":
-        prod = s_k.R_right * s_negk.R_right
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return abs(prod + abs2(s_k.T) - 1.0)
-
-
-def residual_reciprocity_gen(s_k: ScatteringData, s_negk: ScatteringData) -> float:
-    """max of | |R_l(-k)| - |R_r(k)| | and the mirrored combination."""
-    _require_finite(s_k, s_negk)
-    return max(
-        abs(abs(s_negk.R_left) - abs(s_k.R_right)),
-        abs(abs(s_negk.R_right) - abs(s_k.R_left)),
-    )
-
-
-def residual_t_parity(s_k: ScatteringData, s_negk: ScatteringData) -> tuple[float, float]:
-    """(| |T(-k)| - |T(k)| |, |T(-k) - T(k)^*|).
-
-    The modulus residual and the conjugate residual vanish together for real
-    and PT potentials; a generic complex potential keeps RRT but breaks both.
-    """
-    _require_finite(s_k, s_negk)
-    return (
-        abs(abs(s_negk.T) - abs(s_k.T)),
-        abs(s_negk.T - s_k.T.conjugate()),
-    )
-
-
-def residual_negk_amplitudes(s_k: ScatteringData, s_negk: ScatteringData) -> tuple[float, float, float]:
-    """Residuals of R_l(-k) = -R_r(k)/D, R_r(-k) = -R_l(k)/D, T(-k) = T(k)/D.
-
-    Valid for any potential. Caller must ensure |D(k)| is above the D floor.
-    """
-    _require_finite(s_k, s_negk)
+def _negk_amplitudes(s_k: ScatteringData, s_negk: ScatteringData) -> float | str:
+    """Worst of R_l(-k) = -R_r(k)/D, R_r(-k) = -R_l(k)/D, T(-k) = T(k)/D, or why not."""
     d = s_k.D
-    return (
+    if abs(d) <= D_FLOOR:
+        return f"|D| = {abs(d):.2e} below floor"
+    return max(
         abs(s_negk.R_left + s_k.R_right / d),
         abs(s_negk.R_right + s_k.R_left / d),
         abs(s_negk.T - s_k.T / d),
     )
+
+
+def _phase_sum(ph: PhaseRecord, offset: float, period: float) -> float | str:
+    """Distance of lambda + rho - 2 tau - offset to the nearest multiple of period, or why not.
+
+    Comparisons are distance-to-nearest-lattice-point, never raw subtraction:
+    the principal arguments wrap independently.
+    """
+    missing = [name for name, val in (("lambda", ph.lam), ("rho", ph.rho), ("tau", ph.tau))
+               if val is None]
+    if missing:
+        return f"reflectionless: {'/'.join(missing)} below floor"
+    return abs(math.remainder(ph.lam + ph.rho - 2.0 * ph.tau - offset, period))
 
 
 def residual_negk_matrix(m_k: TransferMatrix, m_negk: TransferMatrix) -> float:
@@ -224,49 +150,73 @@ def residual_negk_matrix(m_k: TransferMatrix, m_negk: TransferMatrix) -> float:
     )
 
 
-def residual_d_phase(s: ScatteringData) -> float:
-    """|D - e^{2i tau}| = |D - T/T^*| (real and PT classes)."""
-    _require_finite(s)
-    return abs(s.D - s.T / s.T.conjugate())
+# identity -> (symmetry classes whose members are guaranteed to satisfy it, its
+# residual). A residual reads (s, sn, ph), the finite amplitudes at k and -k and
+# the phase record at k, and returns a float >= 0 or why it is undefined there.
+# NEGK_MATRIX has none: residual_negk_matrix compares the two transfer matrices,
+# which stay defined where the amplitudes are not. Catalog order is the order
+# of report entries and table columns.
+_CATALOG = {
+    # |R_l| = |R_r|: reciprocity of real potentials, exact for even ones
+    RECIPROCITY_REAL: (("real", "even"), lambda s, sn, ph: abs(abs(s.R_left) - abs(s.R_right))),
+    # |R|^2 + |T|^2 = 1 on each side
+    UNITARITY_REAL: (("real",), lambda s, sn, ph: max(abs(abs2(s.R_left) + abs2(s.T) - 1.0),
+                                                     abs(abs2(s.R_right) + abs2(s.T) - 1.0))),
+    PT_PSEUDO_UNITARITY: (("real", "pt"), lambda s, sn, ph: _pseudo_unitarity(s)),
+    # lambda + rho - 2 tau on odd multiples of pi (real) or on multiples of pi (PT)
+    PHASE_SUM_REAL: (("real",), lambda s, sn, ph: _phase_sum(ph, math.pi, 2.0 * math.pi)),
+    PHASE_SUM_PT: (("real", "pt"), lambda s, sn, ph: _phase_sum(ph, 0.0, math.pi)),
+    NEGK_MATRIX: (("any",), None),
+    NEGK_AMPLITUDES: (("any",), lambda s, sn, ph: _negk_amplitudes(s, sn)),
+    # D = e^{2i tau} = T/T^*
+    D_PHASE: (("real", "pt"), lambda s, sn, ph: abs(s.D - s.T / s.T.conjugate())),
+    # R(-k) = R(k)^* on each side
+    R_NEGK_CONJ: (("real",), lambda s, sn, ph: max(abs(sn.R_left - s.R_left.conjugate()),
+                                                  abs(sn.R_right - s.R_right.conjugate()))),
+    # T(-k) = T(k)^* and |T(-k)| = |T(k)| hold together for real and PT potentials;
+    # a potential with no symmetry class keeps RRT but breaks both
+    T_NEGK_CONJ: (("real", "pt"), lambda s, sn, ph: abs(sn.T - s.T.conjugate())),
+    # |R_l(-k)| = |R_r(k)| and |R_r(-k)| = |R_l(k)|
+    RECIPROCITY_GEN: (("real", "pt"), lambda s, sn, ph: max(abs(abs(sn.R_left) - abs(s.R_right)),
+                                                           abs(abs(sn.R_right) - abs(s.R_left)))),
+    T_MODULUS_PARITY: (("real", "pt"), lambda s, sn, ph: abs(abs(sn.T) - abs(s.T))),
+    # R(k) R(-k) + |T(k)|^2 = 1 on each side: the shared real/PT unitarity form
+    GEN_UNITARITY_L: (("real", "pt"),
+                      lambda s, sn, ph: abs(s.R_left * sn.R_left + abs2(s.T) - 1.0)),
+    GEN_UNITARITY_R: (("real", "pt"),
+                      lambda s, sn, ph: abs(s.R_right * sn.R_right + abs2(s.T) - 1.0)),
+    # R_l^* = -e^{-2i tau} R_r
+    R_PHASE_REAL: (("real",),
+                   lambda s, sn, ph: abs(s.R_left.conjugate() + _t_phase(s) * s.R_right)),
+    # R(-k) = -e^{-2i tau} R_opposite(k) on each side
+    PT_NEGK_R: (("real", "pt"), lambda s, sn, ph: max(abs(sn.R_left + _t_phase(s) * s.R_right),
+                                                     abs(sn.R_right + _t_phase(s) * s.R_left))),
+}
+IDENTITY_IDS = tuple(_CATALOG)
+
+_NONFINITE = "non-finite amplitudes (spectral singularity or overflow)"
 
 
-def residual_r_negk_conj(s_k: ScatteringData, s_negk: ScatteringData) -> float:
-    """max over sides of |R(-k) - R(k)^*| (real potentials only)."""
-    _require_finite(s_k, s_negk)
-    return max(
-        abs(s_negk.R_left - s_k.R_left.conjugate()),
-        abs(s_negk.R_right - s_k.R_right.conjugate()),
-    )
+def residual(identity: str, s_k: ScatteringData, s_negk: ScatteringData,
+             ph: PhaseRecord | None = None) -> float:
+    """The residual of one catalog identity at (k, -k); ph defaults to phases(s_k).
 
-
-def residual_pt_negk_r(s_k: ScatteringData, s_negk: ScatteringData) -> float:
-    """max over sides of |R(-k) + e^{-2i tau} R_opposite(k)| (real and PT)."""
-    _require_finite(s_k, s_negk)
-    phase = (s_k.T.conjugate() / s_k.T) if s_k.T != 0 else 1.0
-    return max(
-        abs(s_negk.R_left + phase * s_k.R_right),
-        abs(s_negk.R_right + phase * s_k.R_left),
-    )
-
-
-def residual_r_phase_real(s: ScatteringData) -> float:
-    """|R_l^* + e^{-2i tau} R_r| (real potentials)."""
-    _require_finite(s)
-    phase = (s.T.conjugate() / s.T) if s.T != 0 else 1.0
-    return abs(s.R_left.conjugate() + phase * s.R_right)
-
-
-def residual_phase_sums(ph: PhaseRecord) -> tuple[float, float]:
-    """(real-class, PT-class) distances of lambda + rho - 2 tau to its lattice.
-
-    Real class: the combination sits on odd multiples of pi; PT class: on
-    integer multiples of pi. Comparisons are distance-to-nearest-lattice-point,
-    never raw subtraction.
+    Raises ValueError for an unknown id, for NEGK_MATRIX (it needs the
+    transfer matrices: residual_negk_matrix), on non-finite amplitudes (near a
+    spectral singularity), and where the identity is undefined at this k, so
+    that no NaN stands in for a residual.
     """
-    if ph.lam is None or ph.rho is None or ph.tau is None:
-        raise ValueError("phase sums undefined: a reflection amplitude is below the floor")
-    x = ph.lam + ph.rho - 2.0 * ph.tau
-    return _dist_to_multiple(x - math.pi, 2.0 * math.pi), _dist_to_multiple(x, math.pi)
+    if identity not in _CATALOG:
+        raise ValueError(f"unknown identity {identity!r}")
+    row = _CATALOG[identity][1]
+    if row is None:
+        raise ValueError(f"{identity} compares transfer matrices: use residual_negk_matrix")
+    if not (s_k.finite and s_negk.finite):
+        raise ValueError("identity undefined: non-finite amplitudes (near a spectral singularity)")
+    value = row(s_k, s_negk, phases(s_k) if ph is None else ph)
+    if isinstance(value, str):
+        raise ValueError(f"{identity} undefined: {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -279,13 +229,17 @@ class IdentityEntry:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """All identity residuals for one potential at one wavenumber pair (k, -k)."""
+    """All identity residuals for one potential at one wavenumber pair (k, -k).
+
+    phases is the phase record at k, None where the amplitudes at k are non-finite.
+    """
 
     k: float
     entries: tuple[IdentityEntry, ...]
     scattering: ScatteringData
     scattering_negk: ScatteringData
     symmetry: SymmetryClass
+    phases: PhaseRecord | None
 
     def entry(self, identity: str) -> IdentityEntry:
         for e in self.entries:
@@ -321,20 +275,20 @@ def worst_residual(residuals) -> float:
     return worst
 
 
-def _is_claimed(identity: str, sym: SymmetryClass) -> tuple[bool, str]:
-    classes = _CLAIMED_FOR[identity]
-    if "any" in classes:
-        return True, ""
-    if not sym.has_any:
-        # no symmetry protects anything: check the full catalog as diagnostics
-        return True, "no symmetry class detected; full catalog counted"
-    if "real" in classes and sym.is_real:
-        return True, ""
-    if "even" in classes and sym.is_even:
-        return True, ""
-    if "pt" in classes and sym.is_pt_symmetric:
-        return True, ""
-    return False, f"wrong symmetry class (needs one of {'/'.join(classes)})"
+def _rows(sym: SymmetryClass) -> tuple[tuple, ...]:
+    """(identity, residual, applicable, note) per catalog row, for one symmetry class."""
+    holds = {"any": True, "real": sym.is_real, "even": sym.is_even, "pt": sym.is_pt_symmetric}
+    rows = []
+    for identity, (classes, row) in _CATALOG.items():
+        if any(holds[c] for c in classes):
+            claim = (True, "")
+        elif not sym.has_any:
+            # no symmetry protects anything: check the full catalog as diagnostics
+            claim = (True, "no symmetry class detected; full catalog counted")
+        else:
+            claim = (False, f"wrong symmetry class (needs one of {'/'.join(classes)})")
+        rows.append((identity, row, *claim))
+    return tuple(rows)
 
 
 def identity_report(
@@ -367,54 +321,24 @@ def identity_report(
     else:
         pairs = zip(flat.tolist(), transfer_matrices(p, flat, backend, tol_ode),
                     transfer_matrices(p, -flat, backend_negk, tol_ode))
-    reports = tuple(_report(k, m_k, m_negk, sym) for k, m_k, m_negk in pairs)
+    rows = _rows(sym)
+    reports = tuple(_report(k, m_k, m_negk, sym, rows) for k, m_k, m_negk in pairs)
     return reports if ks.ndim else reports[0]
 
 
 def _report(k: float, m_k: TransferMatrix, m_negk: TransferMatrix,
-            sym: SymmetryClass) -> IdentityReport:
-    """The catalog at (k, -k) from the two transfer matrices and the symmetry class."""
+            sym: SymmetryClass, rows: tuple[tuple, ...]) -> IdentityReport:
+    """The catalog at (k, -k) from the two transfer matrices and the rows for sym."""
     s_k = scattering_data(m_k)
     s_negk = scattering_data(m_negk)
-    if s_k.finite:
-        s_k = replace(s_k, phases=phases(s_k, pt_symmetric=sym.is_pt_symmetric))
-    ph = s_k.phases
-
-    # identity -> residual, or the reason it cannot be computed
-    found: dict[str, float | str] = dict.fromkeys(
-        IDENTITY_IDS, "non-finite amplitudes (spectral singularity or overflow)")
-    found[NEGK_MATRIX] = residual_negk_matrix(m_k, m_negk)  # needs only the two matrices
-    if s_k.finite and s_negk.finite:
-        t_modulus, t_conj = residual_t_parity(s_k, s_negk)
-        found.update({
-            RECIPROCITY_REAL: residual_reciprocity_real(s_k),
-            UNITARITY_REAL: residual_unitarity_real(s_k),
-            PT_PSEUDO_UNITARITY: residual_pt_pseudo_unitarity(s_k)[0],
-            D_PHASE: residual_d_phase(s_k),
-            R_NEGK_CONJ: residual_r_negk_conj(s_k, s_negk),
-            T_NEGK_CONJ: t_conj,
-            T_MODULUS_PARITY: t_modulus,
-            RECIPROCITY_GEN: residual_reciprocity_gen(s_k, s_negk),
-            GEN_UNITARITY_L: residual_generalized_unitarity(s_k, s_negk, "left"),
-            GEN_UNITARITY_R: residual_generalized_unitarity(s_k, s_negk, "right"),
-            R_PHASE_REAL: residual_r_phase_real(s_k),
-            PT_NEGK_R: residual_pt_negk_r(s_k, s_negk),
-        })
-        if abs(s_k.D) <= D_FLOOR:
-            found[NEGK_AMPLITUDES] = f"|D| = {abs(s_k.D):.2e} below floor"
+    ph = phases(s_k, pt_symmetric=sym.is_pt_symmetric) if s_k.finite else None
+    finite = s_k.finite and s_negk.finite
+    entries = []
+    for identity, row, applicable, note in rows:
+        if row is None:
+            value = residual_negk_matrix(m_k, m_negk)
         else:
-            found[NEGK_AMPLITUDES] = max(residual_negk_amplitudes(s_k, s_negk))
-        missing = [name for name, val in
-                   (("lambda", ph.lam), ("rho", ph.rho), ("tau", ph.tau)) if val is None]
-        if missing:
-            found[PHASE_SUM_REAL] = found[PHASE_SUM_PT] = \
-                f"reflectionless: {'/'.join(missing)} below floor"
-        else:
-            found[PHASE_SUM_REAL], found[PHASE_SUM_PT] = residual_phase_sums(ph)
-
-    entries = tuple(
-        IdentityEntry(identity, None, False, value) if isinstance(value, str)
-        else IdentityEntry(identity, value, *_is_claimed(identity, sym))
-        for identity, value in found.items()
-    )
-    return IdentityReport(k, entries, s_k, s_negk, sym)
+            value = row(s_k, s_negk, ph) if finite else _NONFINITE
+        entries.append(IdentityEntry(identity, None, False, value) if isinstance(value, str)
+                       else IdentityEntry(identity, value, applicable, note))
+    return IdentityReport(k, tuple(entries), s_k, s_negk, sym, ph)

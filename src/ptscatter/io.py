@@ -12,7 +12,7 @@ import csv
 import io as _io
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -20,9 +20,6 @@ from .identities import IDENTITY_IDS, IdentityEntry, IdentityReport, PhaseRecord
 from .potentials import SymmetryClass
 from .scan import Feature, ScanResult, SweepResult
 from .transfer import ScatteringData, abs2
-
-CSV_FORMAT = "csv"
-JSON_FORMAT = "json"
 
 
 def _fmt(x) -> str:
@@ -218,7 +215,7 @@ LONG_REPORT_COLUMNS = ("k", "identity", "residual", "applicable", "note")
 
 
 def _report_row(r: IdentityReport) -> list[str]:
-    ph = r.scattering.phases
+    ph = r.phases
     residuals = {e.identity: e.residual for e in r.entries}
     return ([_fmt(v) for v in _amplitude_cells(r.scattering)]
             + [_fmt(getattr(ph, name) if ph else None)
@@ -309,7 +306,7 @@ def _json_number(x) -> str:
 def _reports_json(reports):
     """Each report as json.dumps(..., indent=2) writes it inside the reports list."""
     for r in reports:
-        sym, ph = r.symmetry, r.scattering.phases
+        sym, ph = r.symmetry, r.phases
         scattering, scattering_negk = _scattering_texts(
             (r.scattering, r.scattering_negk), _JSON_SCATTERING)
         phases = "null" if ph is None else _JSON_PHASES % tuple(map(_json_number, (
@@ -340,10 +337,10 @@ def reports_from_json(text: str) -> list[IdentityReport]:
         IdentityReport(
             k=obj["k"],
             entries=tuple(IdentityEntry(**e) for e in obj["entries"]),
-            scattering=replace(_scattering_from_json(obj["scattering"]),
-                               phases=_phases_from_json(obj["phases"])),
+            scattering=_scattering_from_json(obj["scattering"]),
             scattering_negk=_scattering_from_json(obj["scattering_negk"]),
             symmetry=SymmetryClass(**obj["symmetry"]),
+            phases=_phases_from_json(obj["phases"]),
         )
         for obj in _read_json(text, "verify")["reports"]
     ]

@@ -64,7 +64,6 @@ class LayerPotential:
         object.__setattr__(self, "values", tuple(values))
         object.__setattr__(self, "widths", tuple(widths))
         object.__setattr__(self, "x_left", x_left)
-        object.__setattr__(self, "_edge_list", self.edges.tolist())
 
     @property
     def edges(self) -> np.ndarray:
@@ -78,13 +77,7 @@ class LayerPotential:
         return (float(e[0]), float(e[-1]))
 
     def evaluate(self, x):
-        """Value at x (array-friendly). Interior edges take the right layer's value.
-
-        A float inside the support (the ODE's per-stage call) is bisected.
-        """
-        e = self._edge_list
-        if isinstance(x, float) and self.values and e[0] <= x <= e[-1]:
-            return self.values[min(bisect_right(e, x), len(self.values)) - 1]
+        """Value at x (array-friendly). Interior edges take the right layer's value."""
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
         if self.values:
@@ -166,7 +159,10 @@ def _scarf2(x, v1=1.0, v2=0.5, alpha=1.0):
 
 
 def _gaussian(x, height=1.0, width=1.0):
-    return height * np.exp(-((x / width) ** 2))
+    # u * u, not u ** 2: numpy squares a 0-d array with pow() and a longer array
+    # by multiplying, and the two differ in the last bit
+    u = x / width
+    return height * np.exp(-(u * u))
 
 
 ANALYTIC_FAMILIES: dict[str, Callable] = {

@@ -60,9 +60,6 @@ class ScanResult:
     k_max: float
     grid_step: float
 
-    def of_kind(self, *kinds: str) -> tuple[Feature, ...]:
-        return tuple(f for f in self.features if f.kind in kinds)
-
 
 @dataclass(frozen=True)
 class SweepResult:

@@ -17,17 +17,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import kernels
 from .potentials import LayerPotential, Potential, _breakpoints
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .identities import PhaseRecord
 
 SINGULARITY_FLOOR = 1e-12
 DEFAULT_ODE_TOL = 1e-9
@@ -131,7 +127,6 @@ class ScatteringData:
     finite: bool
     condition: float
     backend: str = STACK
-    phases: "PhaseRecord | None" = field(default=None, compare=False)
 
 
 def layer_matrix(v0: complex, width: float, k: float, x_left: float = 0.0) -> TransferMatrix:

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ import pytest
 from ptscatter import (
     LayerPotential,
     ScatteringData,
+    TransferMatrix,
     identity_report,
+    negative_k_matrix,
     scattering_at,
     scattering_data,
     transfer_matrix_stack,
@@ -14,6 +18,8 @@ from ptscatter import (
 from ptscatter import io as tables
 from ptscatter.catalog import barrier, double_barrier, free, onesided, pt_bilayer, pt_stack4
 from ptscatter.identities import (
+    D_FLOOR,
+    D_PHASE,
     GEN_UNITARITY_L,
     GEN_UNITARITY_R,
     IDENTITY_IDS,
@@ -24,20 +30,22 @@ from ptscatter.identities import (
     PT_NEGK_R,
     PT_PSEUDO_UNITARITY,
     R_NEGK_CONJ,
+    R_PHASE_REAL,
     RECIPROCITY_GEN,
+    T_MODULUS_PARITY,
     T_NEGK_CONJ,
+    UNITARITY_REAL,
+    _CATALOG,
     phases,
-    residual_generalized_unitarity,
-    residual_negk_amplitudes,
-    residual_phase_sums,
-    residual_pt_pseudo_unitarity,
-    residual_r_phase_real,
-    residual_reciprocity_gen,
-    residual_t_parity,
-    residual_unitarity_real,
+    residual,
 )
 from ptscatter.cli import DEFAULT_VERIFY_TOL
-from ptscatter.transfer import ConvergenceError, abs2, matrix_from_amplitudes
+from ptscatter.transfer import (
+    SINGULARITY_FLOOR,
+    ConvergenceError,
+    abs2,
+    matrix_from_amplitudes,
+)
 
 
 def _free_data():
@@ -75,118 +83,149 @@ def test_bilayer_phase_integers_lock():
     assert (ph.m1, ph.m2) == (-1, 0)
 
 
+def _sign_of_one_minus_t2(s):
+    # the pseudo-unitarity sign: that of 1 - |T|^2, 0 at |T| = 1
+    return int(np.sign(1.0 - abs(s.T) ** 2))
+
+
 def test_pseudo_unitarity_free():
-    res, sign = residual_pt_pseudo_unitarity(_free_data())
-    assert res == 0.0 and sign == 0
+    s = _free_data()
+    assert residual(PT_PSEUDO_UNITARITY, s, s) == 0.0
+    assert _sign_of_one_minus_t2(s) == 0
 
 
 def test_pseudo_unitarity_real_barrier():
-    s = scattering_at(barrier(), 1.3)
-    res, sign = residual_pt_pseudo_unitarity(s)
-    assert res <= 1e-9
-    assert sign == +1
+    s_k, s_negk = _pair(barrier(), 1.3)
+    assert residual(PT_PSEUDO_UNITARITY, s_k, s_negk) <= 1e-9
+    assert _sign_of_one_minus_t2(s_k) == +1
 
 
 def test_pseudo_unitarity_bilayer_gain_side():
     # gamma = 0.5 at k = 1 amplifies: |T| > 1, odd m1 + m2
-    s = scattering_at(pt_bilayer(gamma=0.5), 1.0)
-    res, sign = residual_pt_pseudo_unitarity(s)
-    assert abs(s.T) > 1.0
-    assert sign == -1
-    assert res <= 1e-8
-    ph = phases(s, pt_symmetric=True)
+    s_k, s_negk = _pair(pt_bilayer(gamma=0.5), 1.0)
+    assert abs(s_k.T) > 1.0
+    assert _sign_of_one_minus_t2(s_k) == -1
+    assert residual(PT_PSEUDO_UNITARITY, s_k, s_negk) <= 1e-8
+    # with the other sign, |T|^2 + |R_l R_r| = 1 fails at this point
+    assert abs(abs(s_k.T) ** 2 + abs(s_k.R_left * s_k.R_right) - 1.0) > 1e-2
+    ph = phases(s_k, pt_symmetric=True)
     assert (ph.m1 + ph.m2) % 2 == 1  # e^{i pi (m1+m2)} = -1 matches the minus sign
 
 
 def test_generalized_unitarity_free():
-    assert residual_generalized_unitarity(_free_data(), _free_data(), "left") == 0.0
+    assert residual(GEN_UNITARITY_L, _free_data(), _free_data()) == 0.0
 
 
 def test_generalized_unitarity_real_barrier():
     s_k, s_negk = _pair(barrier(), 1.3)
-    assert residual_generalized_unitarity(s_k, s_negk, "left") <= 1e-8
-    assert residual_generalized_unitarity(s_k, s_negk, "right") <= 1e-8
+    assert residual(GEN_UNITARITY_L, s_k, s_negk) <= 1e-8
+    assert residual(GEN_UNITARITY_R, s_k, s_negk) <= 1e-8
 
 
 def test_generalized_unitarity_pt_bilayer():
     s_k, s_negk = _pair(pt_bilayer(gamma=0.5), 1.0)
-    for side in ("left", "right"):
-        assert residual_generalized_unitarity(s_k, s_negk, side) <= 1e-8
+    for identity in (GEN_UNITARITY_L, GEN_UNITARITY_R):
+        assert residual(identity, s_k, s_negk) <= 1e-8
 
 
-def test_generalized_unitarity_rejects_bad_side():
-    with pytest.raises(ValueError):
-        residual_generalized_unitarity(_free_data(), _free_data(), "up")
+def test_residual_rejects_unknown_identity():
+    with pytest.raises(ValueError, match="unknown identity"):
+        residual("GEN_UNITARITY_UP", _free_data(), _free_data())
+
+
+def test_residual_refers_negk_matrix_to_the_matrices():
+    with pytest.raises(ValueError, match="residual_negk_matrix"):
+        residual(NEGK_MATRIX, _free_data(), _free_data())
+
+
+@pytest.mark.parametrize("identity", [i for i in IDENTITY_IDS if i != NEGK_MATRIX])
+def test_residual_rejects_nonfinite_amplitudes(identity):
+    # a spectral singularity of the bilayer: the amplitudes at k are NaN
+    s_k, s_negk = _pair(pt_bilayer(gamma=2.071737124880286), 1.064682550561970)
+    assert not s_k.finite
+    for pair in ((s_k, s_negk), (s_negk, s_k)):
+        with pytest.raises(ValueError, match="non-finite amplitudes"):
+            residual(identity, *pair)
 
 
 def test_reciprocity_gen():
-    assert residual_reciprocity_gen(_free_data(), _free_data()) == 0.0
+    assert residual(RECIPROCITY_GEN, _free_data(), _free_data()) == 0.0
     s_k, s_negk = _pair(barrier(), 1.3)
-    assert residual_reciprocity_gen(s_k, s_negk) <= 1e-9
+    assert residual(RECIPROCITY_GEN, s_k, s_negk) <= 1e-9
     s_k, s_negk = _pair(pt_bilayer(gamma=0.5), 1.0)
-    assert residual_reciprocity_gen(s_k, s_negk) <= 1e-8
+    assert residual(RECIPROCITY_GEN, s_k, s_negk) <= 1e-8
 
 
 def test_t_parity_real_and_onesided():
-    assert residual_t_parity(_free_data(), _free_data()) == (0.0, 0.0)
+    for identity in (T_MODULUS_PARITY, T_NEGK_CONJ):
+        assert residual(identity, _free_data(), _free_data()) == 0.0
     s_k, s_negk = _pair(barrier(), 1.3)
-    mod_res, conj_res = residual_t_parity(s_k, s_negk)
-    assert mod_res <= 1e-9 and conj_res <= 1e-9
+    assert residual(T_MODULUS_PARITY, s_k, s_negk) <= 1e-9
+    assert residual(T_NEGK_CONJ, s_k, s_negk) <= 1e-9
     # a potential with no symmetry class keeps RRT but loses T(-k) = T(k)^*
     s_k, s_negk = _pair(onesided(), 1.3)
-    _, conj_res = residual_t_parity(s_k, s_negk)
-    assert conj_res > 0.1
-    assert max(residual_negk_amplitudes(s_k, s_negk)) <= 1e-8
+    assert residual(T_NEGK_CONJ, s_k, s_negk) > 0.1
+    assert residual(NEGK_AMPLITUDES, s_k, s_negk) <= 1e-8
 
 
 def test_negk_amplitudes_class_independent():
     s = _free_data()
-    assert residual_negk_amplitudes(s, s) == (0.0, 0.0, 0.0)
+    assert residual(NEGK_AMPLITUDES, s, s) == 0.0
     for pot in (onesided(), pt_bilayer(), barrier(), double_barrier(), pt_stack4()):
         s_k, s_negk = _pair(pot, 0.9)
-        assert max(residual_negk_amplitudes(s_k, s_negk)) <= 1e-8
+        assert residual(NEGK_AMPLITUDES, s_k, s_negk) <= 1e-8
+
+
+def test_negk_amplitudes_undefined_at_small_d():
+    # with det M = 1, D = M11/M22 = 1e-13: |M11(k)| <= 1e-12 |M22(k)|, while M22(-k) = M11(k)
+    # stays above the singularity floor, so both amplitude triples are finite
+    m_k = TransferMatrix(1e-9, 1.0, 1e-5 - 1.0, 1e4, 1.0)
+    s_k, s_negk = scattering_data(m_k), scattering_data(negative_k_matrix(m_k))
+    assert s_k.finite and s_negk.finite
+    assert 0 < abs(s_k.D) <= D_FLOOR and abs(m_k.m11) > SINGULARITY_FLOOR
+    reason = r"NEGK_AMPLITUDES undefined: \|D\| = 1\.00e-13 below floor"
+    with pytest.raises(ValueError, match=reason):
+        residual(NEGK_AMPLITUDES, s_k, s_negk)
 
 
 def test_d_phase_for_pt():
-    s = scattering_at(pt_bilayer(gamma=0.5), 1.0)
-    assert abs(s.D - (s.T / s.T.conjugate())) <= 1e-8
+    s_k, s_negk = _pair(pt_bilayer(gamma=0.5), 1.0)
+    assert residual(D_PHASE, s_k, s_negk) <= 1e-8
 
 
 def test_phase_sums_real_barrier():
-    s = scattering_at(barrier(), 1.3)
-    real_res, pt_res = residual_phase_sums(phases(s))
-    assert real_res <= 1e-8
-    assert pt_res <= 1e-8  # odd multiples of pi are multiples of pi
+    s_k, s_negk = _pair(barrier(), 1.3)
+    assert residual(PHASE_SUM_REAL, s_k, s_negk) <= 1e-8
+    assert residual(PHASE_SUM_PT, s_k, s_negk) <= 1e-8  # odd multiples of pi are multiples of pi
 
 
 def test_phase_sums_pt_even_parity_matches_real_form():
     # frozen even-parity point of the bilayer: gamma = 1.5, k = 0.5
-    s = scattering_at(pt_bilayer(gamma=1.5), 0.5)
-    ph = phases(s, pt_symmetric=True)
+    s_k, s_negk = _pair(pt_bilayer(gamma=1.5), 0.5)
+    ph = phases(s_k, pt_symmetric=True)
     assert (ph.m1 + ph.m2) % 2 == 0
-    real_res, pt_res = residual_phase_sums(ph)
-    assert real_res <= 1e-8
-    assert pt_res <= 1e-8
+    assert residual(PHASE_SUM_REAL, s_k, s_negk, ph) <= 1e-8
+    assert residual(PHASE_SUM_PT, s_k, s_negk, ph) <= 1e-8
 
 
 def test_phase_sums_pt_odd_parity_breaks_real_form():
-    s = scattering_at(pt_bilayer(gamma=0.5), 1.0)
-    ph = phases(s, pt_symmetric=True)
+    s_k, s_negk = _pair(pt_bilayer(gamma=0.5), 1.0)
+    ph = phases(s_k, pt_symmetric=True)
     assert (ph.m1 + ph.m2) % 2 == 1
-    real_res, pt_res = residual_phase_sums(ph)
-    assert pt_res <= 1e-8
-    assert real_res == pytest.approx(math.pi, abs=1e-6)
+    assert residual(PHASE_SUM_PT, s_k, s_negk, ph) <= 1e-8
+    assert residual(PHASE_SUM_REAL, s_k, s_negk, ph) == pytest.approx(math.pi, abs=1e-6)
 
 
 def test_phase_sums_need_reflection():
-    with pytest.raises(ValueError, match="below the floor"):
-        residual_phase_sums(phases(_free_data()))
+    for identity in (PHASE_SUM_REAL, PHASE_SUM_PT):
+        with pytest.raises(ValueError, match="reflectionless: lambda/rho below floor"):
+            residual(identity, _free_data(), _free_data())
 
 
 def test_r_phase_real():
-    assert residual_r_phase_real(_free_data()) == 0.0
-    assert residual_r_phase_real(scattering_at(barrier(), 1.3)) <= 1e-9
-    assert residual_r_phase_real(scattering_at(double_barrier(), 1.3)) <= 1e-9
+    assert residual(R_PHASE_REAL, _free_data(), _free_data()) == 0.0
+    for pot in (barrier(), double_barrier()):
+        assert residual(R_PHASE_REAL, *_pair(pot, 1.3)) <= 1e-9
 
 
 def test_report_free_all_zero():
@@ -352,9 +391,18 @@ def test_report_raises_first_failed_solve_in_k_minus_k_order(fail_ode_systems):
 def test_squared_moduli_overflow_to_inf():
     # |T| = 1e200: abs(T) ** 2 overflows; the residual is inf, not an OverflowError
     s = ScatteringData(1.0, 1e200 + 0j, 0j, 0j, 0j, True, 1.0)
-    assert residual_unitarity_real(s) == math.inf
-    assert residual_pt_pseudo_unitarity(s)[0] == math.inf
+    assert residual(UNITARITY_REAL, s, s) == math.inf
+    assert residual(PT_PSEUDO_UNITARITY, s, s) == math.inf
     # a NaN part after that overflow stays NaN (CPython's abs() keeps the stale errno)
     assert math.isnan(abs2(complex(math.nan, 1.0)))
     assert abs2(complex(math.inf, math.nan)) == math.inf
     assert abs2(3 + 4j) == 25.0
+
+
+def test_readme_identity_table_follows_the_catalog():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Identity ids", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([A-Z_]+)` \| ([a-z, ]+) \|", section, flags=re.M)
+    assert tuple(identity for identity, _ in rows) == IDENTITY_IDS
+    for identity, classes in rows:
+        assert tuple(classes.split(", ")) == _CATALOG[identity][0], identity

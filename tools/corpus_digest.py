@@ -49,8 +49,9 @@ SAMPLED_SPIKE = {"samples": [{"x": x, "re": v} for x, v in
 # pt-bilayer at a spectral singularity, each with multi-k verify batches,
 # a two-layer PT stack whose bidirectional zeros have unequal |R_left| and |R_right|,
 # a sampled profile, two spikes narrower than any fixed classification grid,
-# and Scarf II round its n = 1 spectral singularity k* = sqrt(6.5) / 2; the ODE
-# scans of the sampled profile and of Scarf II refine grid minima
+# Scarf II round its n = 1 spectral singularity k* = sqrt(6.5) / 2, and a gaussian
+# (the other analytic family); the ODE scans of the sampled profile and of Scarf II
+# refine grid minima
 EXTRAS = (
     ("opaque-slab", {"layers": [{"re": 10000, "width": 10}], "x0": -5}, (
         ["sweep", "--backend", "stack", "--format", "csv", "--k-range", "0.3:3.0:60"],
@@ -88,6 +89,10 @@ EXTRAS = (
     )),
     ("scarf2-singular", {"family": "scarf2", "params": {"v1": 1, "v2": 7.75}}, (
         ["scan", "--k-range", "1.0:1.6:61"],
+    )),
+    ("gaussian", {"family": "gaussian", "params": {"height": 1.3, "width": 0.7}}, (
+        ["sweep", "--format", "json", "--k-range", SPARSE_SWEEP],
+        ["verify", "--format", "json", "--k-range", SPARSE_VERIFY],
     )),
 )
 
