@@ -197,9 +197,8 @@ IDENTITY_IDS = tuple(_CATALOG)
 _NONFINITE = "non-finite amplitudes (spectral singularity or overflow)"
 
 
-def residual(identity: str, s_k: ScatteringData, s_negk: ScatteringData,
-             ph: PhaseRecord | None = None) -> float:
-    """The residual of one catalog identity at (k, -k); ph defaults to phases(s_k).
+def residual(identity: str, s_k: ScatteringData, s_negk: ScatteringData) -> float:
+    """The residual of one catalog identity at (k, -k).
 
     Raises ValueError for an unknown id, for NEGK_MATRIX (it needs the
     transfer matrices: residual_negk_matrix), on non-finite amplitudes (near a
@@ -212,8 +211,8 @@ def residual(identity: str, s_k: ScatteringData, s_negk: ScatteringData,
     if row is None:
         raise ValueError(f"{identity} compares transfer matrices: use residual_negk_matrix")
     if not (s_k.finite and s_negk.finite):
-        raise ValueError("identity undefined: non-finite amplitudes (near a spectral singularity)")
-    value = row(s_k, s_negk, phases(s_k) if ph is None else ph)
+        raise ValueError(f"{identity} undefined: {_NONFINITE}")
+    value = row(s_k, s_negk, phases(s_k))
     if isinstance(value, str):
         raise ValueError(f"{identity} undefined: {value}")
     return value

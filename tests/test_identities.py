@@ -204,16 +204,16 @@ def test_phase_sums_pt_even_parity_matches_real_form():
     s_k, s_negk = _pair(pt_bilayer(gamma=1.5), 0.5)
     ph = phases(s_k, pt_symmetric=True)
     assert (ph.m1 + ph.m2) % 2 == 0
-    assert residual(PHASE_SUM_REAL, s_k, s_negk, ph) <= 1e-8
-    assert residual(PHASE_SUM_PT, s_k, s_negk, ph) <= 1e-8
+    assert residual(PHASE_SUM_REAL, s_k, s_negk) <= 1e-8
+    assert residual(PHASE_SUM_PT, s_k, s_negk) <= 1e-8
 
 
 def test_phase_sums_pt_odd_parity_breaks_real_form():
     s_k, s_negk = _pair(pt_bilayer(gamma=0.5), 1.0)
     ph = phases(s_k, pt_symmetric=True)
     assert (ph.m1 + ph.m2) % 2 == 1
-    assert residual(PHASE_SUM_PT, s_k, s_negk, ph) <= 1e-8
-    assert residual(PHASE_SUM_REAL, s_k, s_negk, ph) == pytest.approx(math.pi, abs=1e-6)
+    assert residual(PHASE_SUM_PT, s_k, s_negk) <= 1e-8
+    assert residual(PHASE_SUM_REAL, s_k, s_negk) == pytest.approx(math.pi, abs=1e-6)
 
 
 def test_phase_sums_need_reflection():
