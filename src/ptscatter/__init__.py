@@ -35,35 +35,28 @@ from .scan import (
     sweep,
 )
 from .symmetry import (
-    apply_action,
     apply_parity,
     apply_pt,
     apply_time_reversal,
     invariance_residual,
 )
 from .transfer import (
-    AsymptoticCoefficients,
     BackendError,
     ConvergenceError,
     ScatteringData,
     TransferMatrix,
-    apply_transfer,
     compute_transfer,
-    layer_matrix,
     matrix_from_amplitudes,
     negative_k_matrix,
-    scattering_at,
     scattering_data,
     stack_matrices,
     transfer_matrix_ode,
-    transfer_matrix_stack,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticPotential",
-    "AsymptoticCoefficients",
     "BackendError",
     "ConvergenceError",
     "Feature",
@@ -80,11 +73,9 @@ __all__ = [
     "SweepResult",
     "SymmetryClass",
     "TransferMatrix",
-    "apply_action",
     "apply_parity",
     "apply_pt",
     "apply_time_reversal",
-    "apply_transfer",
     "builtin_potential",
     "builtin_potentials",
     "check_invisibility",
@@ -95,16 +86,13 @@ __all__ = [
     "find_unidirectional_points",
     "identity_report",
     "invariance_residual",
-    "layer_matrix",
     "matrix_from_amplitudes",
     "negative_k_matrix",
     "parse_potential_spec",
     "phases",
-    "scattering_at",
     "scattering_data",
     "stack_matrices",
     "sweep",
     "transfer_matrix_ode",
-    "transfer_matrix_stack",
     "__version__",
 ]

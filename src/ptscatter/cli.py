@@ -128,7 +128,7 @@ def _cmd_sweep(args) -> int:
         backends = [args.backend]
     rows, errors = [], []
     for backend in backends:
-        res = sweep(p, args.k_range, backend=backend, tol=args.ode_tol)
+        res = sweep(p, args.k_range, backend=backend, ode_tol=args.ode_tol)
         rows.extend(res.rows)
         errors.extend(res.errors)
     rows.sort(key=lambda s: (s.k, s.backend))
@@ -156,7 +156,7 @@ def _cmd_verify(args) -> int:
     if np.any(ks <= 0):
         raise ValueError("verify requires k > 0")
     backend_k, backend_negk = _verify_backends(p, args.backend)
-    reports = identity_report(p, ks, tol_ode=args.ode_tol,
+    reports = identity_report(p, ks, ode_tol=args.ode_tol,
                               backend=backend_k, backend_negk=backend_negk)
     if args.format == "json":
         text = tables.reports_to_json(reports)

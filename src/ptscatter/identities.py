@@ -293,7 +293,7 @@ def _rows(sym: SymmetryClass) -> tuple[tuple, ...]:
 def identity_report(
     p: Potential,
     k,
-    tol_ode: float = DEFAULT_ODE_TOL,
+    ode_tol: float = DEFAULT_ODE_TOL,
     backend: str = "auto",
     backend_negk: str | None = None,
 ) -> IdentityReport | tuple[IdentityReport, ...]:
@@ -315,11 +315,11 @@ def identity_report(
     flat = ks.reshape(-1)
     backend_negk = backend_negk or backend
     if resolve_backend(p, backend) == resolve_backend(p, backend_negk):
-        both = transfer_matrices(p, np.column_stack((flat, -flat)).reshape(-1), backend, tol_ode)
+        both = transfer_matrices(p, np.column_stack((flat, -flat)).reshape(-1), backend, ode_tol)
         pairs = zip(flat.tolist(), both, both)
     else:
-        pairs = zip(flat.tolist(), transfer_matrices(p, flat, backend, tol_ode),
-                    transfer_matrices(p, -flat, backend_negk, tol_ode))
+        pairs = zip(flat.tolist(), transfer_matrices(p, flat, backend, ode_tol),
+                    transfer_matrices(p, -flat, backend_negk, ode_tol))
     rows = _rows(sym)
     reports = tuple(_report(k, m_k, m_negk, sym, rows) for k, m_k, m_negk in pairs)
     return reports if ks.ndim else reports[0]

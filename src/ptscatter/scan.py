@@ -68,7 +68,7 @@ class SweepResult:
 
 
 def sweep(p: Potential, k_grid, backend: str = "auto",
-          tol: float = DEFAULT_ODE_TOL) -> SweepResult:
+          ode_tol: float = DEFAULT_ODE_TOL) -> SweepResult:
     """One ScatteringData per grid point; a k whose ODE solve failed gets an error row."""
     ks = np.asarray(k_grid, dtype=float)
     if ks.ndim != 1 or ks.size == 0:
@@ -80,7 +80,7 @@ def sweep(p: Potential, k_grid, backend: str = "auto",
     if np.any(np.diff(ks) <= 0):
         raise ValueError("k grid must be strictly increasing")
     backend = resolve_backend(p, backend)
-    matrices = transfer_matrices(p, ks, backend, tol)
+    matrices = transfer_matrices(p, ks, backend, ode_tol)
     rows, errors = [], []
     for k in ks.tolist():
         try:

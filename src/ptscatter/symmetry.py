@@ -13,16 +13,13 @@ matching action.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 
 import numpy as np
 
 from .transfer import TransferMatrix
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-P_ACTION = "P"
-T_ACTION = "T"
-PT_ACTION = "PT"
 
 _DET_DRIFT_WARN = 1e-6
 
@@ -65,21 +62,10 @@ def apply_pt(m: TransferMatrix) -> TransferMatrix:
     )
 
 
-_ACTIONS = {
-    P_ACTION: apply_parity,
-    T_ACTION: apply_time_reversal,
-    PT_ACTION: apply_pt,
-}
+def invariance_residual(m: TransferMatrix,
+                        action: Callable[[TransferMatrix], TransferMatrix]) -> float:
+    """Max entrywise modulus of M - action(M); 0 means exactly invariant.
 
-
-def apply_action(m: TransferMatrix, action: str) -> TransferMatrix:
-    try:
-        return _ACTIONS[action](m)
-    except KeyError:
-        raise ValueError(f"unknown symmetry action {action!r}; use P, T, or PT") from None
-
-
-def invariance_residual(m: TransferMatrix, action: str) -> float:
-    """Max entrywise modulus of M - action(M); 0 means exactly invariant."""
-    other = apply_action(m, action)
-    return float(np.max(np.abs(m.as_array() - other.as_array())))
+    action is apply_parity, apply_time_reversal or apply_pt.
+    """
+    return float(np.max(np.abs(m.as_array() - action(m).as_array())))

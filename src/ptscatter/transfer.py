@@ -81,39 +81,13 @@ class TransferMatrix:
     def as_array(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=complex)
 
-    @classmethod
-    def from_array(cls, m, k: float, backend: str = STACK) -> "TransferMatrix":
-        m = np.asarray(m, dtype=complex)
-        return cls(complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1]),
-                   float(k), backend)
-
-
-@dataclass(frozen=True)
-class AsymptoticCoefficients:
-    """Plane-wave coefficients (A, B) on each side of the support."""
-
-    a_minus: complex
-    b_minus: complex
-    a_plus: complex
-    b_plus: complex
-
-
-def apply_transfer(m: TransferMatrix, a_minus: complex, b_minus: complex) -> AsymptoticCoefficients:
-    """Propagate left coefficients through M."""
-    return AsymptoticCoefficients(
-        a_minus=complex(a_minus),
-        b_minus=complex(b_minus),
-        a_plus=m.m11 * a_minus + m.m12 * b_minus,
-        b_plus=m.m21 * a_minus + m.m22 * b_minus,
-    )
-
 
 @dataclass(frozen=True)
 class ScatteringData:
     """Amplitude triple at one wavenumber with the derived combination D.
 
     D = T^2 - R_left R_right controls the negative-k amplitude relations.
-    finite is True only when T, R_left, R_right and D are all finite. It is
+    finite is True only when T, R_left, R_right, D and |M22| are all finite. It is
     False at (numerical) spectral singularities, where |M22| fell below the
     singularity floor and the amplitudes diverge, and wherever M itself
     overflowed to inf or NaN.
@@ -127,28 +101,6 @@ class ScatteringData:
     finite: bool
     condition: float
     backend: str = STACK
-
-
-def layer_matrix(v0: complex, width: float, k: float, x_left: float = 0.0) -> TransferMatrix:
-    """Exact transfer matrix of one constant slab of value v0 on [x_left, x_left + width].
-
-    Interior wavenumber kappa = sqrt(k^2 - v0), principal branch; all matrix
-    entries are even in kappa so the branch choice cannot be observed.
-    """
-    if k == 0:
-        raise ValueError("k = 0: zero-energy scattering is excluded")
-    if not width > 0:
-        raise ValueError("width must be positive")
-    m = kernels.stack_transfer(
-        np.array([v0], dtype=complex), np.array([width], dtype=float), x_left,
-        np.array([k], dtype=float),
-    )[0]
-    return TransferMatrix.from_array(m, k, STACK)
-
-
-def transfer_matrix_stack(p: Potential, k: float) -> TransferMatrix:
-    """Slab-product transfer matrix; exact for piecewise-constant potentials."""
-    return next(transfer_matrices(p, [k], STACK))
 
 
 def stack_matrices(p: Potential, ks) -> np.ndarray:
@@ -169,9 +121,10 @@ def stack_matrices(p: Potential, ks) -> np.ndarray:
     )
 
 
-def transfer_matrix_ode(p: Potential, k: float, tol: float = DEFAULT_ODE_TOL) -> TransferMatrix:
+def transfer_matrix_ode(p: Potential, k: float,
+                        ode_tol: float = DEFAULT_ODE_TOL) -> TransferMatrix:
     """The ODE backend at one k: the n = 1 case of transfer_matrices' integrator."""
-    return next(transfer_matrices(p, [k], ODE, tol))
+    return next(transfer_matrices(p, [k], ODE, ode_tol))
 
 
 # solve_ivp raises a smaller rtol to this floor (with a warning)
@@ -251,7 +204,7 @@ def _ode_rows(p: Potential, ks: np.ndarray, tol: float) -> list:
     if np.any(ks == 0):
         raise ValueError("k = 0: zero-energy scattering is excluded")
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise ValueError("ode_tol must be positive")
     lo, hi = p.support_interval()
     if lo == hi or not ks.size:
         return [TransferMatrix(1.0, 0.0, 0.0, 1.0, k, ODE) for k in ks.tolist()]
@@ -292,20 +245,20 @@ def resolve_backend(p: Potential, backend: str) -> str:
 
 
 def compute_transfer(p: Potential, k: float, backend: str = "auto",
-                     tol: float = DEFAULT_ODE_TOL) -> TransferMatrix:
+                     ode_tol: float = DEFAULT_ODE_TOL) -> TransferMatrix:
     """Dispatch to the backend that resolve_backend picks."""
     if resolve_backend(p, backend) == STACK:
-        return transfer_matrix_stack(p, k)
-    return transfer_matrix_ode(p, k, tol)
+        return next(transfer_matrices(p, [k], STACK))
+    return transfer_matrix_ode(p, k, ode_tol)
 
 
 def transfer_matrices(p: Potential, ks, backend: str = "auto",
-                      tol: float = DEFAULT_ODE_TOL):
+                      ode_tol: float = DEFAULT_ODE_TOL):
     """An iterator of one TransferMatrix per k of a 1-D array, in k order.
 
     Stack: one kernel call, made here, and rows built as they are drawn, so
     a caller that consumes each row at once holds one at a time. ODE: every
-    k in one DOP853 system (more only where tol / sqrt(n) would fall below
+    k in one DOP853 system (more only where ode_tol / sqrt(n) would fall below
     solve_ivp's rtol floor), solved here. A k whose solve failed raises its
     ConvergenceError when drawn, and drawing goes on with the next k.
     """
@@ -313,12 +266,12 @@ def transfer_matrices(p: Potential, ks, backend: str = "auto",
     if resolve_backend(p, backend) == STACK:
         return _rows(ks, stack_matrices(p, ks), STACK)
     # map's iterator, unlike a generator's, survives an exception raised for one row
-    return map(_drawn, _ode_rows(p, ks, tol))
+    return map(_drawn, _ode_rows(p, ks, ode_tol))
 
 
 def scattering_data(m: TransferMatrix) -> ScatteringData:
     """Amplitudes from the transfer-matrix dictionary; non-finite at singularities or overflow."""
-    cond = modulus(m.m22)
+    cond = m.condition
     if cond <= SINGULARITY_FLOOR:
         nan = complex(math.nan, math.nan)
         return ScatteringData(m.k, nan, nan, nan, nan, False, cond, m.backend)
@@ -326,7 +279,8 @@ def scattering_data(m: TransferMatrix) -> ScatteringData:
     r_left = -m.m21 / m.m22
     r_right = m.m12 / m.m22
     d = t * t - r_left * r_right
-    finite = all(map(cmath.isfinite, (t, r_left, r_right, d)))
+    # an overflowed M22 alone gives T = 0 and finite R_left, R_right and D
+    finite = math.isfinite(cond) and all(map(cmath.isfinite, (t, r_left, r_right, d)))
     return ScatteringData(m.k, t, r_left, r_right, d, finite, cond, m.backend)
 
 
@@ -347,9 +301,3 @@ def matrix_from_amplitudes(t: complex, r_left: complex, r_right: complex, k: flo
 def negative_k_matrix(m: TransferMatrix) -> TransferMatrix:
     """M(-k) = sigma1 M(k) sigma1: swap M11<->M22 and M12<->M21, negate k."""
     return TransferMatrix(m.m22, m.m21, m.m12, m.m11, -m.k, m.backend)
-
-
-def scattering_at(p: Potential, k: float, backend: str = "auto",
-                  tol: float = DEFAULT_ODE_TOL) -> ScatteringData:
-    """Convenience: transfer matrix then amplitudes."""
-    return scattering_data(compute_transfer(p, k, backend, tol))

@@ -13,13 +13,13 @@ from ptscatter import (
     apply_pt,
     apply_time_reversal,
     classify_symmetry,
+    compute_transfer,
     find_spectral_singularities,
     find_unidirectional_points,
     identity_report,
     invariance_residual,
     scattering_data,
     stack_matrices,
-    transfer_matrix_stack,
 )
 from ptscatter import io as tables
 from ptscatter.catalog import corpus, pt_bilayer
@@ -96,7 +96,7 @@ def pm_data(pots):
 def _tm(arr, k):
     from ptscatter.transfer import TransferMatrix
 
-    return TransferMatrix.from_array(arr, float(k), "stack")
+    return TransferMatrix(*arr.ravel().tolist(), float(k), "stack")
 
 
 def test_c01_unit_determinant(pots, stack_sweeps, ode_sweeps):
@@ -220,7 +220,7 @@ def test_c08_spectral_singularity_scan_vs_oracle(pots):
     # independent oracle: coarse 2D grid on (gamma, k), nested refinement,
     # then a 2D root polish on (Re M22, Im M22)
     def m22(gamma, k):
-        return transfer_matrix_stack(pt_bilayer(gamma=float(gamma)), float(k)).m22
+        return compute_transfer(pt_bilayer(gamma=float(gamma)), float(k), "stack").m22
 
     gammas = np.linspace(1.6, 2.6, 60)
     ks = np.linspace(0.7, 1.4, 80)
@@ -261,7 +261,7 @@ def test_c09_reflectionless_implies_unit_transmission(pots):
     assert len(res.features) == 2
     worst = 0.0
     for f in res.features:
-        s = scattering_data(transfer_matrix_stack(pots["pt-stack4"], f.k_star))
+        s = scattering_data(compute_transfer(pots["pt-stack4"], f.k_star, "stack"))
         worst = max(worst, abs(abs(s.T) - 1.0))
     assert worst <= 1e-6
     print(f"\nACCEPTANCE 09 reflectionless => |T| = 1 (4-layer PT stack): PASS "
@@ -279,7 +279,7 @@ def test_c10_symmetry_action_laws(pots):
         det = np.linalg.det(m)
         if abs(det) < 1e-2:
             continue
-        tm = TransferMatrix.from_array(m / np.sqrt(det), 1.0)
+        tm = TransferMatrix(*(m / np.sqrt(det)).ravel().tolist(), 1.0)
         arr = tm.as_array()
         for apply in (apply_parity, apply_time_reversal, apply_pt):
             worst_law = max(worst_law, float(np.max(np.abs(apply(apply(tm)).as_array() - arr))))
@@ -298,11 +298,11 @@ def test_c10_symmetry_action_laws(pots):
             mats = [_tm(a, k) for a, k in zip(stack_matrices(p, K_GRID), K_GRID)]
         for m in mats:
             if sym.is_real:
-                worst_class = max(worst_class, invariance_residual(m, "T"))
+                worst_class = max(worst_class, invariance_residual(m, apply_time_reversal))
             if sym.is_even:
-                worst_class = max(worst_class, invariance_residual(m, "P"))
+                worst_class = max(worst_class, invariance_residual(m, apply_parity))
             if sym.is_pt_symmetric:
-                worst_class = max(worst_class, invariance_residual(m, "PT"))
+                worst_class = max(worst_class, invariance_residual(m, apply_pt))
     assert worst_class <= 1e-8
     print(f"\nACCEPTANCE 10 symmetry-action laws: PASS (1000 matrices, laws {worst_law:.2e} "
           f"<= 1e-10; class correspondence {worst_class:.2e} <= 1e-8)")

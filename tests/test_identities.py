@@ -9,12 +9,13 @@ from ptscatter import (
     LayerPotential,
     ScatteringData,
     TransferMatrix,
+    classify_symmetry,
+    compute_transfer,
     identity_report,
     negative_k_matrix,
-    scattering_at,
     scattering_data,
-    transfer_matrix_stack,
 )
+from ptscatter import identities
 from ptscatter import io as tables
 from ptscatter.catalog import barrier, double_barrier, free, onesided, pt_bilayer, pt_stack4
 from ptscatter.identities import (
@@ -53,7 +54,8 @@ def _free_data():
 
 
 def _pair(pot, k, **kw):
-    return scattering_at(pot, k, **kw), scattering_at(pot, -k, **kw)
+    return (scattering_data(compute_transfer(pot, k, **kw)),
+            scattering_data(compute_transfer(pot, -k, **kw)))
 
 
 def test_phases_free_potential():
@@ -75,7 +77,7 @@ def test_phases_rejects_nonfinite():
 
 
 def test_bilayer_phase_integers_lock():
-    s = scattering_at(pt_bilayer(gamma=0.5), 1.0)
+    s = scattering_data(compute_transfer(pt_bilayer(gamma=0.5), 1.0))
     ph = phases(s, pt_symmetric=True)
     assert ph.m1 is not None and ph.m2 is not None
     assert ph.m1_residue <= 1e-8
@@ -286,8 +288,8 @@ def test_report_rejects_zero_k():
 def test_report_backend_choice_does_not_change_residuals():
     pot = pt_bilayer(gamma=0.5)
     r_ss = identity_report(pot, 1.0, backend="stack")
-    r_so = identity_report(pot, 1.0, backend="stack", backend_negk="ode", tol_ode=1e-11)
-    r_oo = identity_report(pot, 1.0, backend="ode", tol_ode=1e-11)
+    r_so = identity_report(pot, 1.0, backend="stack", backend_negk="ode", ode_tol=1e-11)
+    r_oo = identity_report(pot, 1.0, backend="ode", ode_tol=1e-11)
     for identity in IDENTITY_IDS:
         vals = []
         for r in (r_ss, r_so, r_oo):
@@ -320,6 +322,20 @@ def test_report_nonfinite_entries_follow_catalog_order(pot, k):
     assert [e.identity for e in r.entries] == list(IDENTITY_IDS)
 
 
+def test_report_on_overflowed_m22_notes_every_amplitude_row_nonfinite():
+    # with T = 1/inf = 0 counted as finite, D_PHASE's T/T* raised ZeroDivisionError here
+    m = TransferMatrix(0, 0, 0, math.inf, 1.0)
+    sym = classify_symmetry(barrier())
+    r = identities._report(1.0, m, m, sym, identities._rows(sym))
+    assert not r.scattering.finite and r.phases is None
+    assert [e.identity for e in r.entries] == list(IDENTITY_IDS)
+    assert r.entry(NEGK_MATRIX).residual == math.inf
+    for e in r.entries:
+        if e.identity != NEGK_MATRIX:
+            assert not e.applicable
+            assert e.note == identities._NONFINITE
+
+
 def test_entry_lookup_raises_for_unknown_id():
     r = identity_report(free(), 1.0)
     with pytest.raises(KeyError):
@@ -346,7 +362,7 @@ def test_pt_negk_r_sign_convention():
 ], ids=["stack", "opaque-slab", "pt-bilayer-singular"])
 def test_report_batch_matches_per_k_reports(pot, ks, backend, backend_negk):
     # one pass over the k array gives the reports of one call per k, to the byte
-    kwargs = {"backend": backend, "backend_negk": backend_negk, "tol_ode": 1e-11}
+    kwargs = {"backend": backend, "backend_negk": backend_negk, "ode_tol": 1e-11}
     with np.errstate(all="ignore"):
         batch = identity_report(pot, np.asarray(ks), **kwargs)
         single = [identity_report(pot, float(k), **kwargs) for k in ks]
@@ -363,7 +379,7 @@ def test_report_batch_agrees_with_per_k_reports(pot, ks, backend, backend_negk):
     # batch and per-k reports agree to the solve's error, not to the byte: each
     # entry of M(+-k) within 10 tol max|M|, and every verdict the same
     tol = 1e-11
-    kwargs = {"backend": backend, "backend_negk": backend_negk, "tol_ode": tol}
+    kwargs = {"backend": backend, "backend_negk": backend_negk, "ode_tol": tol}
     batch = identity_report(pot, np.asarray(ks), **kwargs)
     single = [identity_report(pot, float(k), **kwargs) for k in ks]
     assert len(batch) == len(ks)

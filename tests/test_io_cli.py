@@ -8,9 +8,10 @@ from ptscatter import (
     builtin_potential,
     builtin_potentials,
     classify_symmetry,
+    compute_transfer,
     find_unidirectional_points,
     identity_report,
-    scattering_at,
+    scattering_data,
     sweep,
 )
 from ptscatter import identities, kernels, transfer
@@ -385,13 +386,13 @@ def test_bidirectional_residual_is_smaller_reflection(tmp_path, capsys):
     bidirectional = [f for f in features if f.kind == "bidirectional_reflectionless"]
     assert len(bidirectional) == 3
     for f in bidirectional:
-        s = scattering_at(pot, f.k_star, "stack")
+        s = scattering_data(compute_transfer(pot, f.k_star, "stack"))
         assert f.residual == min(abs(s.R_left), abs(s.R_right))
 
 
 def _ode_residual(pot, kind, k):
     """The residual rule of each scan feature kind, from the ODE backend's amplitudes."""
-    s = scattering_at(pot, k, "ode", 1e-10)
+    s = scattering_data(compute_transfer(pot, k, "ode", 1e-10))
     r_left, r_right = abs(s.R_left), abs(s.R_right)
     return {
         "spectral_singularity": s.condition,

@@ -13,7 +13,7 @@ def _random_stacks(rng, n_cases):
         yield values, widths, x_left, ks
 
 
-def test_pure_python_determinants():
+def test_stack_transfer_has_unit_determinant():
     rng = np.random.default_rng(22)
     for values, widths, x_left, ks in _random_stacks(rng, 20):
         mats = kernels.stack_transfer(values, widths, x_left, ks)
@@ -22,7 +22,7 @@ def test_pure_python_determinants():
         assert np.max(np.abs(dets - 1.0) / scale) <= 1e-11
 
 
-def test_selected_kernel_is_exported():
+def test_stack_transfer_output_shape():
     assert kernels.stack_transfer is not None
     out = kernels.stack_transfer(np.array([1j]), np.array([1.0]), 0.0, np.array([1.0]))
     assert out.shape == (1, 2, 2)

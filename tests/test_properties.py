@@ -20,8 +20,8 @@ from ptscatter import (
     classify_symmetry,
     matrix_from_amplitudes,
     negative_k_matrix,
+    compute_transfer,
     scattering_data,
-    transfer_matrix_stack,
 )
 from ptscatter import io as tables
 from ptscatter.identities import (
@@ -58,15 +58,15 @@ ks = st.floats(min_value=0.3, max_value=5.0)
 @given(layer_stacks(), ks)
 @settings(max_examples=60, deadline=None)
 def test_stack_determinant_is_one(p, k):
-    m = transfer_matrix_stack(p, k)
+    m = compute_transfer(p, k, "stack")
     assert abs(m.det - 1.0) <= 1e-9
 
 
 @given(layer_stacks(), ks)
 @settings(max_examples=60, deadline=None)
 def test_negk_identities_hold_for_any_layer_stack(p, k):
-    m_k = transfer_matrix_stack(p, k)
-    m_negk = transfer_matrix_stack(p, -k)
+    m_k = compute_transfer(p, k, "stack")
+    m_negk = compute_transfer(p, -k, "stack")
     assert residual_negk_matrix(m_k, m_negk) <= 1e-10
     s_k, s_negk = scattering_data(m_k), scattering_data(m_negk)
     if s_k.finite and s_negk.finite and abs(s_k.D) > 1e-6:
@@ -76,7 +76,7 @@ def test_negk_identities_hold_for_any_layer_stack(p, k):
 @given(layer_stacks(), ks)
 @settings(max_examples=60, deadline=None)
 def test_amplitude_dictionary_roundtrip(p, k):
-    m = transfer_matrix_stack(p, k)
+    m = compute_transfer(p, k, "stack")
     s = scattering_data(m)
     if s.finite:
         back = matrix_from_amplitudes(s.T, s.R_left, s.R_right, k)
@@ -93,7 +93,7 @@ def unit_det_matrices(draw):
         m = m + np.eye(2)
         det = np.linalg.det(m)
     assume(abs(det) >= 1e-2)  # m + I is singular too for some m, e.g. [[-1, a], [0, 0]]
-    return TransferMatrix.from_array(m / np.sqrt(det), 1.0)
+    return TransferMatrix(*(m / np.sqrt(det)).ravel().tolist(), 1.0)
 
 
 @given(unit_det_matrices())

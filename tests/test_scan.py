@@ -6,9 +6,10 @@ from ptscatter import (
     Feature,
     ScatteringData,
     check_invisibility,
+    compute_transfer,
     find_spectral_singularities,
     find_unidirectional_points,
-    scattering_at,
+    scattering_data,
     sweep,
 )
 from ptscatter import SampledPotential, scan, transfer
@@ -61,7 +62,7 @@ def test_sweep_validates_grid():
 
 
 def test_sweep_ode_backend_row_errors_do_not_abort():
-    res = sweep(barrier(), np.array([0.7, 1.1]), backend="ode", tol=1e-8)
+    res = sweep(barrier(), np.array([0.7, 1.1]), backend="ode", ode_tol=1e-8)
     assert len(res.rows) == 2
     assert not res.errors
 
@@ -91,9 +92,9 @@ def test_sweep_one_failing_k_keeps_the_others(fail_ode_systems):
     # the failed system is redone one k at a time: only the k that fails alone is lost
     tol = 1e-10
     ks = np.linspace(0.5, 2.5, 5)
-    clean = sweep(pt_stack4(), np.delete(ks, 2), backend="ode", tol=tol)
+    clean = sweep(pt_stack4(), np.delete(ks, 2), backend="ode", ode_tol=tol)
     fail_ode_systems([ks[2]])
-    res = sweep(pt_stack4(), ks, backend="ode", tol=tol)
+    res = sweep(pt_stack4(), ks, backend="ode", ode_tol=tol)
     assert [k for k, _ in res.errors] == [ks[2]]
     assert [s.finite for s in res.rows] == [True, True, False, True, True]
     for got, want in zip(res.rows[:2] + res.rows[3:], clean.rows):
@@ -118,7 +119,7 @@ def test_singularity_scan_finds_bilayer_zero():
     assert f.bracket[0] <= f.k_star <= f.bracket[1]
     assert abs(f.k_star - BILAYER_K_STAR) <= 1e-6
     # pole certified by the denominator: |T| explodes at k*
-    s = scattering_at(pot, f.k_star)
+    s = scattering_data(compute_transfer(pot, f.k_star))
     if s.finite:
         assert abs(s.T) > 1e3
 
@@ -146,7 +147,7 @@ def test_unidirectional_scan_stack4_left_zero():
     assert abs(f.k_star - STACK4_LEFT_ZERO) <= 1e-6
     assert f.residual <= 1e-8
     # transparent (|T| = 1) but not invisible (T != 1): stays reflectionless
-    s = scattering_at(pt_stack4(), f.k_star)
+    s = scattering_data(compute_transfer(pt_stack4(), f.k_star))
     assert abs(abs(s.T) - 1.0) <= 1e-6
     assert abs(s.T - 1.0) > 0.1
 

@@ -3,13 +3,11 @@ import pytest
 
 from ptscatter import (
     TransferMatrix,
-    apply_action,
     apply_parity,
     apply_pt,
     apply_time_reversal,
     compute_transfer,
     invariance_residual,
-    transfer_matrix_stack,
 )
 from ptscatter.catalog import barrier, double_barrier, onesided, pt_bilayer, pt_stack4, scarf2
 from ptscatter.potentials import LayerPotential
@@ -23,13 +21,13 @@ def _random_unit_det(rng, n):
         if abs(det) < 1e-3:
             continue
         m = m / np.sqrt(det)
-        out.append(TransferMatrix.from_array(m, 1.0))
+        out.append(TransferMatrix(*m.ravel().tolist(), 1.0))
     return out
 
 
 def test_identity_fixed_by_all_actions():
     i = TransferMatrix(1, 0, 0, 1, 1.0)
-    for action in ("P", "T", "PT"):
+    for action in (apply_parity, apply_time_reversal, apply_pt):
         assert invariance_residual(i, action) == 0.0
 
 
@@ -69,15 +67,15 @@ def test_involutions():
 def test_even_potential_parity_invariant():
     for pot in (barrier(), LayerPotential((1 + 0.5j,), (2.0,), -1.0)):
         for k in (0.6, 1.4, 2.7):
-            m = transfer_matrix_stack(pot, k)
-            assert invariance_residual(m, "P") <= 1e-9
+            m = compute_transfer(pot, k, "stack")
+            assert invariance_residual(m, apply_parity) <= 1e-9
 
 
 def test_real_potential_time_reversal_invariant():
     for pot in (barrier(), double_barrier()):
         for k in (0.6, 1.4, 2.7):
-            m = transfer_matrix_stack(pot, k)
-            assert invariance_residual(m, "T") <= 1e-9
+            m = compute_transfer(pot, k, "stack")
+            assert invariance_residual(m, apply_time_reversal) <= 1e-9
             # entrywise statement: M11^* = M22 and M12^* = M21
             assert abs(m.m11.conjugate() - m.m22) <= 1e-12
             assert abs(m.m12.conjugate() - m.m21) <= 1e-12
@@ -86,25 +84,20 @@ def test_real_potential_time_reversal_invariant():
 def test_pt_potential_pt_invariant():
     for pot in (pt_bilayer(), pt_stack4()):
         for k in (0.6, 1.4, 2.7):
-            m = transfer_matrix_stack(pot, k)
-            assert invariance_residual(m, "PT") <= 1e-9
+            m = compute_transfer(pot, k, "stack")
+            assert invariance_residual(m, apply_pt) <= 1e-9
 
 
 def test_pt_invariance_of_scarf2_via_ode():
-    m = compute_transfer(scarf2(), 1.3, tol=1e-12)
-    assert invariance_residual(m, "PT") <= 1e-8
+    m = compute_transfer(scarf2(), 1.3, ode_tol=1e-12)
+    assert invariance_residual(m, apply_pt) <= 1e-8
 
 
 def test_symmetry_breaking_is_visible():
-    m = transfer_matrix_stack(onesided(), 1.1)
-    assert invariance_residual(m, "PT") > 1e-3
-    assert invariance_residual(m, "T") > 1e-3
-    assert invariance_residual(m, "P") > 1e-3
-
-
-def test_unknown_action_rejected():
-    with pytest.raises(ValueError, match="unknown symmetry action"):
-        apply_action(TransferMatrix(1, 0, 0, 1, 1.0), "Q")
+    m = compute_transfer(onesided(), 1.1, "stack")
+    assert invariance_residual(m, apply_pt) > 1e-3
+    assert invariance_residual(m, apply_time_reversal) > 1e-3
+    assert invariance_residual(m, apply_parity) > 1e-3
 
 
 def test_singular_matrix_rejected():

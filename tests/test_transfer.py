@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -11,15 +12,12 @@ from ptscatter import (
     LayerPotential,
     SampledPotential,
     TransferMatrix,
-    apply_transfer,
     compute_transfer,
     matrix_from_amplitudes,
     negative_k_matrix,
-    scattering_at,
     scattering_data,
     stack_matrices,
     transfer_matrix_ode,
-    transfer_matrix_stack,
 )
 from ptscatter.catalog import barrier, double_barrier, free, onesided, pt_bilayer, pt_stack4, scarf2
 from ptscatter.transfer import resolve_backend, transfer_matrices
@@ -34,22 +32,22 @@ BILAYER_K1 = np.array([
 
 
 def test_empty_stack_is_identity():
-    m = transfer_matrix_stack(free(), 0.9)
+    m = compute_transfer(free(), 0.9, "stack")
     np.testing.assert_allclose(m.as_array(), np.eye(2), atol=0)
 
 
 def test_stack_requires_layers():
     with pytest.raises(BackendError):
-        transfer_matrix_stack(scarf2(), 1.0)
+        compute_transfer(scarf2(), 1.0, "stack")
 
 
 def test_stack_rejects_zero_k():
     with pytest.raises(ValueError, match="k = 0"):
-        transfer_matrix_stack(barrier(), 0.0)
+        compute_transfer(barrier(), 0.0, "stack")
 
 
 def test_bilayer_matrix_structure_and_values():
-    m = transfer_matrix_stack(pt_bilayer(gamma=0.5, a=1.0), 1.0)
+    m = compute_transfer(pt_bilayer(gamma=0.5, a=1.0), 1.0, "stack")
     np.testing.assert_allclose(m.as_array(), BILAYER_K1, atol=1e-13)
     live = stack_matrix_oracle([0.5j, -0.5j], [1.0, 1.0], -1.0, 1.0)
     np.testing.assert_allclose(m.as_array(), live, atol=1e-13)
@@ -62,7 +60,7 @@ def test_bilayer_matrix_structure_and_values():
 @pytest.mark.parametrize("pot", [barrier(), double_barrier(), pt_bilayer(), pt_stack4(), onesided()])
 def test_stack_matches_composition_oracle(pot):
     for k in (0.7, 1.3, 2.6):
-        got = transfer_matrix_stack(pot, k).as_array()
+        got = compute_transfer(pot, k, "stack").as_array()
         want = stack_matrix_oracle(pot.values, pot.widths, pot.x_left, k)
         np.testing.assert_allclose(got, want, atol=1e-12)
         assert abs(np.linalg.det(got) - 1.0) <= 1e-12
@@ -73,8 +71,8 @@ def test_stack_semigroup_property():
     # same profile cut into four half-width slabs
     p2 = type(p1)((0.7j, 0.7j, -0.7j, -0.7j), (0.5, 0.5, 0.5, 0.5), -1.0)
     for k in (0.5, 1.9):
-        a = transfer_matrix_stack(p1, k).as_array()
-        b = transfer_matrix_stack(p2, k).as_array()
+        a = compute_transfer(p1, k, "stack").as_array()
+        b = compute_transfer(p2, k, "stack").as_array()
         np.testing.assert_allclose(a, b, atol=1e-13)
 
 
@@ -83,7 +81,7 @@ def test_stack_matrices_vectorized_agrees_with_scalar():
     ks = np.linspace(0.4, 2.9, 17)
     mats = stack_matrices(p, ks)
     for i, k in enumerate(ks):
-        np.testing.assert_allclose(mats[i], transfer_matrix_stack(p, float(k)).as_array(),
+        np.testing.assert_allclose(mats[i], compute_transfer(p, float(k), "stack").as_array(),
                                    atol=1e-14)
 
 
@@ -94,7 +92,7 @@ def test_ode_zero_potential_identity():
 
 def test_ode_matches_stack_on_real_barrier():
     tol = 1e-9
-    ms = transfer_matrix_stack(barrier(), 1.3).as_array()
+    ms = compute_transfer(barrier(), 1.3, "stack").as_array()
     mo = transfer_matrix_ode(barrier(), 1.3, tol).as_array()
     assert np.max(np.abs(ms - mo)) <= 10 * tol
 
@@ -103,7 +101,7 @@ def test_ode_matches_stack_on_real_barrier():
 def test_ode_matches_stack_layer_corpus(pot):
     tol = 1e-10
     for k in (0.6, 1.7):
-        ms = transfer_matrix_stack(pot, k).as_array()
+        ms = compute_transfer(pot, k, "stack").as_array()
         mo = transfer_matrix_ode(pot, k, tol).as_array()
         scale = np.max(np.abs(ms))
         assert np.max(np.abs(ms - mo)) / scale <= 1e-7
@@ -117,7 +115,7 @@ def test_ode_sampled_bilayer_within_interpolation_bound():
         vals = np.where(xs < 0, 1j * gamma, -1j * gamma)
         p = SampledPotential(tuple(xs), tuple(vals))
         mo = transfer_matrix_ode(p, k, 1e-10).as_array()
-        ms = transfer_matrix_stack(pt_bilayer(gamma=gamma), k).as_array()
+        ms = compute_transfer(pt_bilayer(gamma=gamma), k, "stack").as_array()
         errs[h] = np.max(np.abs(mo - ms))
         # linear interpolation smears the jumps over one cell: error ~ gamma*h
         assert errs[h] <= 1.0 * h, f"h={h}: {errs[h]}"
@@ -202,7 +200,7 @@ def test_ode_layer_pieces_read_only_their_own_layer(monkeypatch):
     m = transfer_matrix_ode(PT4_EDGES, k, tol)
     assert len(nfev) == 4 and len(calls) == sum(nfev) and all(calls)
     assert sum(nfev) < 2564 // 2
-    ms = transfer_matrix_stack(PT4_EDGES, k).as_array()
+    ms = compute_transfer(PT4_EDGES, k, "stack").as_array()
     assert np.max(np.abs(m.as_array() - ms)) <= 100 * tol * np.max(np.abs(ms))
 
 
@@ -296,7 +294,7 @@ def test_ode_rejects_bad_args():
     with pytest.raises(ValueError):
         transfer_matrix_ode(barrier(), 0.0)
     with pytest.raises(ValueError):
-        transfer_matrix_ode(barrier(), 1.0, tol=-1.0)
+        transfer_matrix_ode(barrier(), 1.0, ode_tol=-1.0)
 
 
 def test_scattering_identity_matrix():
@@ -322,13 +320,17 @@ def test_scattering_near_singularity_flags_nonfinite():
 
 def test_scattering_overflow_flags_nonfinite():
     # kappa w ~ 1000: the slab's cos and sin overflow and M comes back NaN
-    s = scattering_at(LayerPotential((10000.0,), (10.0,), -5.0), 1.0)
+    s = scattering_data(compute_transfer(LayerPotential((10000.0,), (10.0,), -5.0), 1.0))
     assert np.isnan(s.T.real)
+    assert not s.finite
+    # M22 alone overflowed: T, R_left, R_right and D come out finite (T = 0), M did not
+    s = scattering_data(TransferMatrix(0, 0, 0, math.inf, 1.0))
+    assert s.condition == math.inf
     assert not s.finite
 
 
 def test_bilayer_pseudo_unitarity_from_stack():
-    s = scattering_data(transfer_matrix_stack(pt_bilayer(gamma=0.5), 1.0))
+    s = scattering_data(compute_transfer(pt_bilayer(gamma=0.5), 1.0, "stack"))
     t2 = abs(s.T) ** 2
     prod = abs(s.R_left * s.R_right)
     assert min(abs(t2 + prod - 1.0), abs(t2 - prod - 1.0)) <= 1e-12
@@ -336,7 +338,7 @@ def test_bilayer_pseudo_unitarity_from_stack():
 
 def test_matrix_reconstruction_roundtrip():
     for pot in (barrier(), pt_bilayer(), onesided()):
-        m = transfer_matrix_stack(pot, 1.15)
+        m = compute_transfer(pot, 1.15, "stack")
         s = scattering_data(m)
         back = matrix_from_amplitudes(s.T, s.R_left, s.R_right, s.k)
         np.testing.assert_allclose(back.as_array(), m.as_array(), atol=1e-13)
@@ -354,31 +356,23 @@ def test_negative_k_matrix_swaps_entries():
 @pytest.mark.parametrize("pot", [barrier(), double_barrier(), pt_bilayer(), onesided()])
 def test_negk_swap_equals_direct_evaluation(pot):
     for k in (0.45, 1.8):
-        direct = transfer_matrix_stack(pot, -k).as_array()
-        swapped = negative_k_matrix(transfer_matrix_stack(pot, k)).as_array()
+        direct = compute_transfer(pot, -k, "stack").as_array()
+        swapped = negative_k_matrix(compute_transfer(pot, k, "stack")).as_array()
         np.testing.assert_allclose(swapped, direct, atol=1e-13)
 
 
 def test_negk_swap_against_ode_backend():
     pot = pt_bilayer()
     k = 1.1
-    swapped = negative_k_matrix(transfer_matrix_stack(pot, k)).as_array()
+    swapped = negative_k_matrix(compute_transfer(pot, k, "stack")).as_array()
     direct = transfer_matrix_ode(pot, -k, 1e-10).as_array()
     assert np.max(np.abs(swapped - direct)) <= 1e-7
 
 
-def test_apply_transfer_columns():
-    m = transfer_matrix_stack(pt_bilayer(), 0.9)
-    c1 = apply_transfer(m, 1.0, 0.0)
-    c2 = apply_transfer(m, 0.0, 1.0)
-    assert (c1.a_plus, c1.b_plus) == (m.m11, m.m21)
-    assert (c2.a_plus, c2.b_plus) == (m.m12, m.m22)
-
-
 def test_compute_transfer_dispatch():
     assert compute_transfer(barrier(), 1.0).backend == "stack"
-    assert compute_transfer(scarf2(), 1.0, tol=1e-8).backend == "ode"
-    assert compute_transfer(barrier(), 1.0, backend="ode", tol=1e-8).backend == "ode"
+    assert compute_transfer(scarf2(), 1.0, ode_tol=1e-8).backend == "ode"
+    assert compute_transfer(barrier(), 1.0, backend="ode", ode_tol=1e-8).backend == "ode"
     with pytest.raises(ValueError, match="unknown backend"):
         compute_transfer(barrier(), 1.0, backend="nope")
     assert resolve_backend(free(), "auto") == "stack"
