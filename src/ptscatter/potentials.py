@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 DEFAULT_TRUNCATION = 1e-12
 DEFAULT_CLASS_TOL = 1e-10
@@ -236,7 +235,14 @@ def _truncated_support(vfun, threshold) -> tuple[float, float]:
                 break
         else:
             raise PotentialError("potential does not decay below the truncation threshold")
-        return brentq(lambda t: abs(vfun(sign * abs(t))) - threshold, abs(x), abs(hi)) * sign
+        # |v| > threshold at inner, < threshold at outer; halve until they are adjacent floats
+        inner, outer = abs(x), abs(hi)
+        while (mid := (inner + outer) / 2) not in (inner, outer):
+            if abs(vfun(sign * mid)) > threshold:
+                inner = mid
+            else:
+                outer = mid
+        return outer * sign
 
     lo, hi = edge(-1.0), edge(+1.0)
     if lo == 0.0 and hi == 0.0:

@@ -13,7 +13,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .potentials import Potential
 from .transfer import (
@@ -160,6 +159,13 @@ def _grid_matrices(p, ks, backend, tol) -> np.ndarray:
 def _grid_objective(mats: np.ndarray, kind) -> np.ndarray:
     """Squared objective of kind at every grid k."""
     return _OBJECTIVES[kind](mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]) ** 2
+
+
+def minimize_scalar(*args, **kwargs):
+    """scipy.optimize.minimize_scalar, imported at the first refinement, not with ptscatter."""
+    from scipy.optimize import minimize_scalar
+
+    return minimize_scalar(*args, **kwargs)
 
 
 def _local_minima(values: np.ndarray) -> np.ndarray:

@@ -19,8 +19,6 @@ import numpy as np
 
 from .transfer import TransferMatrix
 
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
 _DET_DRIFT_WARN = 1e-6
 
 

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import kernels
+from .dop853 import solve_ivp
 from .potentials import LayerPotential, Potential, _breakpoints
 
 SINGULARITY_FLOOR = 1e-12
@@ -127,18 +127,6 @@ def transfer_matrix_ode(p: Potential, k: float,
     return next(transfer_matrices(p, [k], ODE, ode_tol))
 
 
-# solve_ivp raises a smaller rtol to this floor (with a warning)
-_RTOL_FLOOR = 100 * np.finfo(float).eps
-
-
-def _ode_chunk(tol: float) -> int:
-    """Most k in one system: tol / sqrt(n) stays at or above the rtol floor."""
-    n = max(1, int((tol / _RTOL_FLOOR) ** 2))
-    while n > 1 and tol / math.sqrt(n) < _RTOL_FLOOR:
-        n -= 1
-    return n
-
-
 def _integrate(p: Potential, ks: np.ndarray, tol: float) -> np.ndarray:
     """M(k) at every k of ks, shape (n, 2, 2), from one DOP853 system of 4n components.
 
@@ -148,9 +136,9 @@ def _integrate(p: Potential, ks: np.ndarray, tol: float) -> np.ndarray:
     (A_plus, B_plus) are read off psi and psi' at the right edge. The
     solve restarts at each breakpoint, so no step crosses a jump or a kink
     of the profile; on a layer the constant v is read once, from the middle
-    of the piece, so no stage sees the next layer's value at the edge.
-    solve_ivp bounds the RMS of the scaled error over all 4n components, so
-    rtol = atol = tol / sqrt(n) keeps each k's bound that of a solve at tol alone.
+    of the piece, so no stage sees the next layer's value at the edge. Each
+    piece is one call of solve_ivp (dop853.py), which holds every k's own
+    error to rtol = atol = tol and returns only the state at the piece's end.
     """
     n = ks.size
     k2 = ks * ks
@@ -158,7 +146,6 @@ def _integrate(p: Potential, ks: np.ndarray, tol: float) -> np.ndarray:
     lo, hi = p.support_interval()
     el = np.exp(ik * lo)
     y = np.concatenate((el, ik * el, 1.0 / el, -ik / el))
-    tol_n = tol / math.sqrt(n)
 
     # (psi, psi')' = (psi', (v - k^2) psi) is g * (psi', psi) with g = (1, v - k^2); its
     # second row is written once per layer piece, or at each stage of any other profile
@@ -177,12 +164,11 @@ def _integrate(p: Potential, ks: np.ndarray, tol: float) -> np.ndarray:
     for a, b in zip(e[:-1], e[1:]):
         if layered:
             np.subtract(evaluate((a + b) / 2), k2, out=g[1])
-        sol = solve_ivp(constant_v if layered else rhs, (a, b), y, method="DOP853",
-                        rtol=tol_n, atol=tol_n, t_eval=(b,))
+        sol = solve_ivp(constant_v if layered else rhs, (a, b), y, tol=tol)
         if not sol.success:
             where = f"k={ks.tolist()[0]}" if n == 1 else f"{n} k"
             raise ConvergenceError(f"integration failed on [{a}, {b}] at {where}: {sol.message}")
-        y = sol.y[:, -1]
+        y = sol.y
     psi1, dpsi1, psi2, dpsi2 = y.reshape(4, n)
     er = np.exp(ik * hi)
     # A = e^{-ikx}(psi/2 + psi'/(2ik)), B = e^{ikx}(psi/2 - psi'/(2ik)) at x = hi
@@ -197,9 +183,9 @@ def _integrate(p: Potential, ks: np.ndarray, tol: float) -> np.ndarray:
 def _ode_rows(p: Potential, ks: np.ndarray, tol: float) -> list:
     """One TransferMatrix per k, or the ConvergenceError of a k whose own solve failed.
 
-    The k are solved in as few systems as the rtol floor allows. A system
-    that fails is redone one k at a time, so only the k that fail alone
-    are lost, each with the message of its own solve.
+    All k are solved as one system. If it fails, it is redone one k at a
+    time, so only the k that fail alone are lost, each with the message of
+    its own solve.
     """
     if np.any(ks == 0):
         raise ValueError("k = 0: zero-energy scattering is excluded")
@@ -208,17 +194,12 @@ def _ode_rows(p: Potential, ks: np.ndarray, tol: float) -> list:
     lo, hi = p.support_interval()
     if lo == hi or not ks.size:
         return [TransferMatrix(1.0, 0.0, 0.0, 1.0, k, ODE) for k in ks.tolist()]
-    rows = []
-    for chunk in np.array_split(ks, -(-ks.size // _ode_chunk(tol))):
-        try:
-            rows.extend(_rows(chunk, _integrate(p, chunk, tol), ODE))
-        except ConvergenceError as exc:
-            if chunk.size == 1:
-                rows.append(exc)
-            else:
-                for i in range(chunk.size):
-                    rows.extend(_ode_rows(p, chunk[i:i + 1], tol))
-    return rows
+    try:
+        return list(_rows(ks, _integrate(p, ks, tol), ODE))
+    except ConvergenceError as exc:
+        if ks.size == 1:
+            return [exc]
+        return [row for i in range(ks.size) for row in _ode_rows(p, ks[i:i + 1], tol)]
 
 
 def _rows(ks: np.ndarray, m: np.ndarray, backend: str):
@@ -258,9 +239,9 @@ def transfer_matrices(p: Potential, ks, backend: str = "auto",
 
     Stack: one kernel call, made here, and rows built as they are drawn, so
     a caller that consumes each row at once holds one at a time. ODE: every
-    k in one DOP853 system (more only where ode_tol / sqrt(n) would fall below
-    solve_ivp's rtol floor), solved here. A k whose solve failed raises its
-    ConvergenceError when drawn, and drawing goes on with the next k.
+    k in one DOP853 system, each k held to rtol = atol = ode_tol on its own,
+    solved here. A k whose solve failed raises its ConvergenceError when
+    drawn, and drawing goes on with the next k.
     """
     ks = np.asarray(ks, dtype=float)
     if resolve_backend(p, backend) == STACK:

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 try:
     import ptscatter  # noqa: F401
@@ -21,6 +20,8 @@ def fail_ode_systems(monkeypatch):
     from ptscatter import transfer
 
     def install(bad_ks, error=None):
+        solve_ivp = transfer.solve_ivp
+
         def failing(fun, t_span, y0, **kwargs):
             if error is not None:
                 raise error

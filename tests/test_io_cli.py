@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from ptscatter import (
     builtin_potential,
@@ -449,7 +448,7 @@ def test_scan_computes_its_grid_once_and_each_refine_k_once(tmp_path, capsys, mo
             record(y0, y0.size // 4)
         return solve_ivp(fun, t_span, y0, **kwargs)
 
-    stack_transfer = kernels.stack_transfer
+    stack_transfer, solve_ivp = kernels.stack_transfer, transfer.solve_ivp
     monkeypatch.setattr(kernels, "stack_transfer", counting_kernel)
     monkeypatch.setattr(transfer, "solve_ivp", counting_solve_ivp)
     f = tmp_path / "pot.json"

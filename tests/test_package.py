@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import ptscatter
 
 
@@ -11,3 +16,13 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from ptscatter import *", namespace)  # import * is only allowed at module level
     assert set(ptscatter.__all__) <= namespace.keys()
+
+
+def test_import_loads_no_scipy():
+    # scipy costs most of a cold start; only a scan's refinement needs it, and imports it then
+    src = str(Path(ptscatter.__file__).resolve().parent.parent)
+    code = "import sys, ptscatter.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

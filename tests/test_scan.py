@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from ptscatter import (
     Feature,
@@ -229,6 +228,7 @@ def test_unidirectional_scan_integrates_each_grid_k_once(monkeypatch):
     # both reflection sides read one M per grid k; refinement is switched off,
     # so every system started here is the grid's, and it holds each grid k once
     systems = []
+    solve_ivp = transfer.solve_ivp
 
     def recording(fun, t_span, y0, **kwargs):
         if t_span[0] == -1.0:  # first piece: plane-wave data, psi'/psi = ik

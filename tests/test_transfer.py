@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from ptscatter import transfer
 from ptscatter import (
     AnalyticPotential,
     BackendError,
+    ConvergenceError,
     LayerPotential,
     SampledPotential,
     TransferMatrix,
@@ -122,8 +123,8 @@ def test_ode_sampled_bilayer_within_interpolation_bound():
     assert 0.3 <= errs[1e-3] / errs[2e-3] <= 0.7  # first-order convergence
 
 
-def _piecewise_linear_reference(xs, vs, k):
-    """M(k) of a sampled profile with one tight DOP853 solve per linear piece."""
+def _piecewise_linear_reference(xs, vs, k, rtol=1e-13, atol=1e-15):
+    """M(k) of a sampled profile with one scipy DOP853 solve per linear piece."""
     el = np.exp(1j * k * xs[0])
     y = np.array([el, 1j * k * el, 1 / el, -1j * k / el])
     for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], vs[:-1], vs[1:]):
@@ -133,7 +134,7 @@ def _piecewise_linear_reference(xs, vs, k):
             g = v0 + slope * (x - x0) - k * k
             return np.array([y[1], g * y[0], y[3], g * y[2]])
 
-        y = solve_ivp(rhs, (x0, x1), y, method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
+        y = scipy_solve_ivp(rhs, (x0, x1), y, method="DOP853", rtol=rtol, atol=atol).y[:, -1]
     er, ik = np.exp(1j * k * xs[-1]), 1j * k
     return np.array([
         [(y[0] / 2 + y[1] / (2 * ik)) / er, (y[2] / 2 + y[3] / (2 * ik)) / er],
@@ -152,10 +153,28 @@ def test_ode_sampled_bump_matches_piecewise_reference():
     assert np.max(np.abs(m - _piecewise_linear_reference(xs, vs, k))) <= 1e-9
 
 
+_PT_XS, _PARABOLA_XS = np.linspace(-2.5, 2.5, 13), np.linspace(-1.0, 1.0, 9)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("k", [0.5, 4.0])
+@pytest.mark.parametrize("xs,vs", [
+    (_PT_XS, np.exp(-_PT_XS ** 2) * (1 + 0.4j * _PT_XS / 2.5)),
+    (_PARABOLA_XS, 3 * (1 - _PARABOLA_XS ** 2) + 1j * _PARABOLA_XS),
+], ids=["pt-bump", "parabola"])
+def test_single_k_ode_matches_scipy_dop853_at_the_same_tol(xs, vs, k, tol):
+    # one k: the per-k error norm is scipy's, so the steps are scipy's and the
+    # rows differ by rounding, far below tol
+    m = transfer_matrix_ode(SampledPotential(tuple(xs), tuple(vs)), k, tol).as_array()
+    ref = _piecewise_linear_reference(xs, vs, k, rtol=tol, atol=tol)
+    assert np.max(np.abs(m - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_ode_restarts_only_at_slope_changes(monkeypatch):
     # a sampled step is constant on each side of one jump cell: three pieces,
     # not one per sample interval; a tent adds one restart at its apex
     calls = []
+    solve_ivp = transfer.solve_ivp
 
     def counting_solve_ivp(fun, t_span, *args, **kwargs):
         calls.append(t_span)
@@ -182,6 +201,7 @@ def test_ode_layer_pieces_read_only_their_own_layer(monkeypatch):
     k, tol = -1.7, 1e-12
     edges = PT4_EDGES.edges.tolist()
     calls, nfev = [], []
+    solve_ivp = transfer.solve_ivp
 
     def checking_solve_ivp(fun, t_span, y0, **kwargs):
         g_own = PT4_EDGES.values[edges.index(t_span[0])] - k * k
@@ -235,6 +255,7 @@ _BUMP = SampledPotential(tuple(_BUMP_XS), tuple(
 ], ids=["layers", "sampled-bump", "scarf2", "gaussian"])
 def test_ode_rhs_is_bit_identical_to_the_array_reference(monkeypatch, p, n):
     ks = np.linspace(0.4, 2.9, n)
+    solve_ivp = transfer.solve_ivp
 
     def with_reference_rhs(fun, t_span, y0, **kwargs):
         return solve_ivp(_array_rhs(p, ks, t_span), t_span, y0, **kwargs)
@@ -263,26 +284,70 @@ def test_scarf2_oracle_t_of_minus_k_is_conjugate():
             assert abs(scarf2_transmission_oracle(-k, *params) - t.conjugate()) <= 1e-14 * abs(t)
 
 
-def test_ode_systems_stay_above_the_rtol_floor(monkeypatch):
-    # tol / sqrt(n) below 100 eps would be raised by solve_ivp with a warning:
-    # the k array is split into the fewest systems that stay above it
+def test_ode_k_array_is_one_system_held_to_tol_per_k(monkeypatch):
+    # the error norm is each k's own, so 50 k at 1e-13 share one system (an RMS
+    # over all of them needed tol / sqrt(50), below the 100 eps floor) and each
+    # row is its single-k solve's to within about tol
     tol, ks = 1e-13, np.linspace(0.3, 3.0, 50)
-    sizes = []
+    sizes, tols = [], set()
+    solve_ivp = transfer.solve_ivp
 
     def recording(fun, t_span, y0, **kwargs):
         if t_span[0] == -1.0:  # a system's first piece
             sizes.append(y0.size // 4)
-        assert kwargs["rtol"] == kwargs["atol"] == tol / np.sqrt(y0.size // 4)
+        tols.add(kwargs["tol"])
         return solve_ivp(fun, t_span, y0, **kwargs)
 
     monkeypatch.setattr(transfer, "solve_ivp", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = list(transfer_matrices(pt_stack4(), ks, "ode", tol))
-    floor = 100 * np.finfo(float).eps
-    assert sum(sizes) == ks.size and all(tol / np.sqrt(n) >= floor for n in sizes)
-    assert len(sizes) == -(-ks.size // int((tol / floor) ** 2))
+    monkeypatch.undo()
+    assert sizes == [ks.size] and tols == {tol}
     assert [m.k for m in rows] == ks.tolist()
+    for m in rows:
+        alone = transfer_matrix_ode(pt_stack4(), m.k, tol).as_array()
+        assert np.max(np.abs(m.as_array() - alone)) <= 10 * tol * np.max(np.abs(alone))
+
+
+def test_ode_tol_below_100_eps_raises_rtol_to_the_floor_with_a_warning():
+    # atol stays ode_tol; rtol cannot go below 100 eps, as in scipy's solve_ivp
+    ks = np.linspace(0.3, 3.0, 7)
+    with pytest.warns(UserWarning, match="rtol is raised to"):
+        rows = list(transfer_matrices(pt_stack4(), ks, "ode", 1e-15))
+    exact = stack_matrices(pt_stack4(), ks)
+    for m, ms in zip(rows, exact):
+        assert np.max(np.abs(m.as_array() - ms)) <= 1e-12 * np.max(np.abs(ms))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_rhs_fails_the_solve_of_its_k_only(monkeypatch, bad):
+    # a NaN or inf error estimate rejects the step, down to the smallest step:
+    # the k whose derivative is poisoned gets a ConvergenceError, never a row
+    ks = [0.5, 1.1, 1.7]
+    solve_ivp = transfer.solve_ivp
+
+    def poisoned(fun, t_span, y0, **kwargs):
+        if t_span[0] != -1.0:
+            return solve_ivp(fun, t_span, y0, **kwargs)
+        n = y0.size // 4  # first piece: plane-wave data, psi'/psi = ik
+        hit = np.isclose((y0[n:2 * n] / y0[:n]).imag, 1.1)
+
+        def rhs(x, y):
+            f = fun(x, y)
+            if x > -0.8:
+                f = f.copy()
+                f[:n][hit] = bad
+            return f
+
+        return solve_ivp(rhs, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(transfer, "solve_ivp", poisoned)
+    rows = transfer_matrices(pt_stack4(), ks, "ode", 1e-10)
+    assert np.isfinite(next(rows).as_array()).all()
+    with pytest.raises(ConvergenceError, match="less than spacing"):
+        next(rows)
+    assert np.isfinite(next(rows).as_array()).all()
 
 
 def test_ode_scarf2_unit_determinant():

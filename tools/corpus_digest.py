@@ -11,17 +11,33 @@ byte-identical tables, diagnostics and exit codes on this matrix:
 
 Python warnings are silenced, because their text carries the checkout path.
 The potential file's path is printed as <NAME>.
+
+Where lines differ, keep each run's stdout and compare the numbers:
+
+    PYTHONPATH=<a>/src python tools/corpus_digest.py --stdout-dir out_a > /dev/null
+    PYTHONPATH=<b>/src python tools/corpus_digest.py --stdout-dir out_b > /dev/null
+    python tools/corpus_digest.py --compare out_a out_b
+
+--stdout-dir writes run i's stdout to DIR/<i>.out and its digest line to line
+i of DIR/runs.txt. --compare prints, for each run whose stdout differs, the
+max |delta| over its amplitude values (the re and im parts of T, R_left and
+R_right, from CSV columns or JSON objects) and over every number in it; a run
+whose outputs differ in more than their numbers says so instead.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -116,26 +132,112 @@ def runs(name: str):
         yield ["scan", "--backend", "ode", "--k-range", SPARSE_SCAN]
 
 
-def digest(argv) -> tuple[int, str, str]:
+def run(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_command(argv)
-    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
-    return code, sha(out.getvalue()), sha(err.getvalue())
+    return code, out.getvalue(), err.getvalue()
 
 
-def main() -> int:
+def digest_corpus(stdout_dir: str | None) -> None:
     warnings.simplefilter("ignore")
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
     cases = [(name, {"family": name}, runs(name)) for name in corpus()] + list(EXTRAS)
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, spec, argvs in cases:
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(spec, fh)
             for args in argvs:
-                code, out, err = digest([args[0], "--potential", path] + args[1:])
+                code, out, err = run([args[0], "--potential", path] + args[1:])
                 shown = " ".join([args[0], "--potential", f"<{name}>"] + args[1:])
-                print(f"{shown} | exit {code} | stdout {out} | stderr {err}", flush=True)
+                lines.append(f"{shown} | exit {code} | stdout {sha(out)} | stderr {sha(err)}")
+                print(lines[-1], flush=True)
+                if stdout_dir is not None:
+                    Path(stdout_dir, f"{len(lines) - 1}.out").write_text(out, encoding="utf-8")
+    if stdout_dir is not None:
+        Path(stdout_dir, "runs.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+AMPLITUDES = ("T", "R_left", "R_right")
+AMPLITUDE_COLUMNS = {f"{part}_{name}" for name in AMPLITUDES for part in ("re", "im")}
+NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf|NaN|Infinity)")
+
+
+def amplitude_values(text: str) -> list[float]:
+    """The re and im parts of every T, R_left and R_right in one stdout, in order."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        lines = text.splitlines()
+        header = next((i for i, line in enumerate(lines) if line.startswith("k,")), None)
+        if header is None:
+            return []
+        rows = list(csv.reader(lines[header:]))
+        cols = [j for j, name in enumerate(rows[0]) if name in AMPLITUDE_COLUMNS]
+        return [float(row[j]) for row in rows[1:] for j in cols if j < len(row)]
+    values = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                if key in AMPLITUDES and isinstance(value, dict):
+                    values.extend((float(value["re"]), float(value["im"])))
+                else:
+                    walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value)
+
+    walk(doc)
+    return values
+
+
+def max_delta(a: list[float], b: list[float]) -> float:
+    """max |a_i - b_i|, 0 where both are the same non-finite value, inf where only one is."""
+    worst = 0.0
+    for x, y in zip(a, b):
+        if x != y and not (x != x and y != y):
+            d = abs(x - y)
+            worst = max(worst, d if d == d else float("inf"))
+    return worst
+
+
+def compare(dir_a: str, dir_b: str) -> int:
+    """Print max |delta| of the amplitudes and of all numbers of each run whose stdout differs."""
+    lines = Path(dir_a, "runs.txt").read_text(encoding="utf-8").splitlines()
+    changed = 0
+    for i, line in enumerate(lines):
+        a, b = (Path(d, f"{i}.out").read_text(encoding="utf-8") for d in (dir_a, dir_b))
+        if a == b:
+            continue
+        changed += 1
+        shown = line.split(" | ")[0]
+        if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+            print(f"{shown} | text differs")
+            continue
+        amp_a, amp_b = amplitude_values(a), amplitude_values(b)
+        num_a, num_b = ([float(t) for t in NUMBER.findall(x)] for x in (a, b))
+        amp = f"{max_delta(amp_a, amp_b):.3g}" if amp_a else "none"
+        every = f"{max_delta(num_a, num_b):.3g}"
+        print(f"{shown} | amplitudes max|d| {amp} | all numbers max|d| {every}")
+    print(f"{changed} of {len(lines)} runs differ")
+    return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--stdout-dir", help="also write each run's stdout to this directory")
+    parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="compare two --stdout-dir directories instead of running")
+    args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    if args.stdout_dir is not None:
+        os.makedirs(args.stdout_dir, exist_ok=True)
+    digest_corpus(args.stdout_dir)
     return 0
 
 
