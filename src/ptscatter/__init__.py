@@ -34,19 +34,12 @@ from .scan import (
     find_unidirectional_points,
     sweep,
 )
-from .symmetry import (
-    apply_parity,
-    apply_pt,
-    apply_time_reversal,
-    invariance_residual,
-)
 from .transfer import (
     BackendError,
     ConvergenceError,
     ScatteringData,
     TransferMatrix,
     compute_transfer,
-    matrix_from_amplitudes,
     negative_k_matrix,
     scattering_data,
     stack_matrices,
@@ -73,9 +66,6 @@ __all__ = [
     "SweepResult",
     "SymmetryClass",
     "TransferMatrix",
-    "apply_parity",
-    "apply_pt",
-    "apply_time_reversal",
     "builtin_potential",
     "builtin_potentials",
     "check_invisibility",
@@ -85,8 +75,6 @@ __all__ = [
     "find_spectral_singularities",
     "find_unidirectional_points",
     "identity_report",
-    "invariance_residual",
-    "matrix_from_amplitudes",
     "negative_k_matrix",
     "parse_potential_spec",
     "phases",

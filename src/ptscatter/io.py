@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-import math
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
@@ -385,8 +384,3 @@ def scan_from_json(text: str) -> ScanResult:
     doc = _read_json(text, "scan")
     feats = tuple(Feature(**{**o, "bracket": tuple(o["bracket"])}) for o in doc["features"])
     return ScanResult(feats, doc["k_min"], doc["k_max"], doc["grid_step"])
-
-
-def roundtrip_floats_exact(x: float) -> bool:
-    """17 significant digits reproduce any finite float64 exactly."""
-    return math.isnan(x) or float(_fmt(x)) == x

@@ -2,15 +2,18 @@
 
 A feature is a real wavenumber where the modulus that _OBJECTIVES assigns to
 its kind touches zero. Grid local minima of the squared modulus are refined by
-bracketed derivative-free minimization, and a zero is accepted only when the
+Brent's method from their grid bracket, and a zero is accepted only when the
 refined modulus is at or below an acceptance floor, so shallow dips are never
-promoted to features.
+promoted to features. The minimizers (scipy's Brent and bounded methods,
+ported as generators) run in lockstep: each round solves the next k of every
+unfinished refinement together, so scipy is not needed at run time.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
+from math import sqrt
 
 import numpy as np
 
@@ -161,43 +164,265 @@ def _grid_objective(mats: np.ndarray, kind) -> np.ndarray:
     return _OBJECTIVES[kind](mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]) ** 2
 
 
-def minimize_scalar(*args, **kwargs):
-    """scipy.optimize.minimize_scalar, imported at the first refinement, not with ptscatter."""
-    from scipy.optimize import minimize_scalar
-
-    return minimize_scalar(*args, **kwargs)
-
-
 def _local_minima(values: np.ndarray) -> np.ndarray:
     interior = (values[1:-1] < values[:-2]) & (values[1:-1] <= values[2:])
     return np.nonzero(interior)[0] + 1
 
 
-def _refine(p, triple, kind, backend, tol, refine_tol) -> tuple[float, TransferMatrix]:
-    """k* and M(k*) minimizing kind's squared objective in a grid bracket (a, b, c), f(b) lowest.
+# scipy's constants: Brent's golden ratio and absolute tolerance floor, fminbound's relative one
+_CG = 0.3819660
+_MINTOL = 1.0e-11
+_SQRT_EPS = sqrt(2.2e-16)
+_MAXITER = 500
 
-    Brent with an explicit bracket converges to the requested xtol; the
-    bounded variant is only a fallback because it cannot localize better than
-    sqrt(machine eps) in relative terms, which is coarser than the acceptance
-    floors used here.
+
+def brent(xa, xb, xc, xtol):
+    """scipy's Brent.optimize from the bracket (xa, xb, xc), as a generator.
+
+    Yields each x to evaluate and is sent f(x); returns (x_min, nfev). Like
+    scipy's 3-point get_bracket_info it raises ValueError unless
+    xa < xb < xc (ends in either order) and f(xb) is below f(xa) and f(xc).
     """
-    a, b, c = triple
-    seen = _memo(p, backend, tol)  # M at every k evaluated; k* is one of them
+    if xa > xc:
+        xc, xa = xa, xc
+    if not ((xa < xb) and (xb < xc)):
+        raise ValueError("bracket (xa, xb, xc) needs xa < xb < xc")
+    fa = yield xa
+    fb = yield xb
+    fc = yield xc
+    if not ((fb < fa) and (fb < fc)):
+        raise ValueError("bracket (xa, xb, xc) needs f(xb) < f(xa) and f(xb) < f(xc)")
+    funcalls = 3
+    x = w = v = xb
+    fw = fv = fx = fb
+    a, b = xa, xc
+    deltax = 0.0
+    iter = 0
+    while (iter < _MAXITER):
+        tol1 = xtol * np.abs(x) + _MINTOL
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if np.abs(x - xmid) < (tol2 - 0.5 * (b - a)):
+            break
+        if (np.abs(deltax) <= tol1):
+            if (x >= xmid):
+                deltax = a - x  # golden section step
+            else:
+                deltax = b - x
+            rat = _CG * deltax
+        else:  # parabolic step
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if (tmp2 > 0.0):
+                p = -p
+            tmp2 = np.abs(tmp2)
+            dx_temp = deltax
+            deltax = rat
+            if ((p > tmp2 * (a - x)) and (p < tmp2 * (b - x)) and
+                    (np.abs(p) < np.abs(0.5 * tmp2 * dx_temp))):
+                rat = p * 1.0 / tmp2
+                u = x + rat
+                if ((u - a) < tol2 or (b - u) < tol2):
+                    if xmid - x >= 0:
+                        rat = tol1
+                    else:
+                        rat = -tol1
+            else:
+                if (x >= xmid):
+                    deltax = a - x
+                else:
+                    deltax = b - x
+                rat = _CG * deltax
+        if (np.abs(rat) < tol1):  # move by at least tol1
+            if rat >= 0:
+                u = x + tol1
+            else:
+                u = x - tol1
+        else:
+            u = x + rat
+        fu = yield u
+        funcalls += 1
+        if (fu > fx):
+            if (u < x):
+                a = u
+            else:
+                b = u
+            if (fu <= fw) or (w == x):
+                v = w
+                w = u
+                fv = fw
+                fw = fu
+            elif (fu <= fv) or (v == x) or (v == w):
+                v = u
+                fv = fu
+        else:
+            if (u >= x):
+                a = x
+            else:
+                b = x
+            v = w
+            w = x
+            x = u
+            fv = fw
+            fw = fx
+            fx = fu
+        iter += 1
+    return x, funcalls
 
-    def objective(k):
-        if k not in seen:
-            seen[k] = compute_transfer(p, float(k), backend, tol)
-        return abs2(_residual(kind, seen[k]))
 
+def bounded(x1, x2, xatol):
+    """scipy's fminbound (minimize_scalar method="bounded") on [x1, x2], as a generator.
+
+    Yields each x to evaluate and is sent f(x); returns (x_min, nfev).
+    """
+    if not (np.isfinite(x1) and np.isfinite(x2)):
+        raise ValueError("bounds must be finite")
+    if x1 > x2:
+        raise ValueError("the lower bound exceeds the upper bound")
+    golden_mean = 0.5 * (3.0 - sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = yield x
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while (np.abs(xf - xm) > (tol2 - 0.5 * (b - a))):
+        golden = 1
+        if np.abs(e) > tol1:  # parabolic fit
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and
+                    (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+        if golden:  # golden section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = yield x
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAXITER:
+            break
+    return xf, num
+
+
+def _minimize(a, b, c, xtol):
+    """Brent from the grid bracket (a, b, c); bounded on [a, c] if Brent rejects or leaves it.
+
+    Brent converges to xtol; bounded is only the fallback because it cannot
+    localize better than sqrt(machine eps) in relative terms, which is coarser
+    than the acceptance floor.
+    """
     try:
-        res = minimize_scalar(objective, bracket=(a, b, c), method="brent",
-                              options={"xtol": refine_tol, "maxiter": 500})
-        if not (a <= res.x <= c):
-            raise ValueError("left the bracket")
-    except (ValueError, RuntimeError):
-        res = minimize_scalar(objective, bounds=(a, c), method="bounded",
-                              options={"xatol": refine_tol, "maxiter": 500})
-    return float(res.x), seen[res.x]
+        x, _ = yield from brent(a, b, c, xtol)
+        if a <= x <= c:
+            return x
+    except ValueError:
+        pass
+    x, _ = yield from bounded(a, c, xtol)
+    return x
+
+
+@dataclass(frozen=True)
+class Refinement:
+    """Per bracket, k* and M(k*); nfev counts the objective values all minimizers read."""
+    x: tuple[float, ...]
+    m: tuple[TransferMatrix, ...]
+    nfev: int
+
+
+def _solve(p, seen: dict, ks, backend, ode_tol) -> None:
+    """M into seen at each k of ks it lacks: one kernel call on the stack, one ODE system per k."""
+    ks = [k for k in dict.fromkeys(ks) if k not in seen]
+    if not ks:
+        return
+    if resolve_backend(p, backend) == STACK:
+        seen.update(zip(ks, transfer_matrices(p, ks, STACK)))
+    else:
+        for k in ks:
+            seen[k] = compute_transfer(p, float(k), backend, ode_tol)
+
+
+def minimize_scalar(p, brackets, backend, ode_tol, xtol) -> Refinement:
+    """k* minimizing kind's squared objective in each (kind, (a, b, c)) bracket, all in lockstep.
+
+    Each bracket runs _minimize. All bracket points are solved first, in one
+    batch; then every round advances each unfinished minimizer to the next k
+    that no earlier round solved, and solves those k together. The stack
+    kernel gives every k in a batch bit for bit its single-k M, and the ODE
+    solves each k alone, so every minimizer takes the iterates it would take
+    on its own. M is kept at every k solved (shared within shared_work()),
+    so no k is solved twice. A failed ODE solve raises its ConvergenceError.
+    """
+    seen = _memo(p, backend, ode_tol)
+
+    def f(i, k):
+        return abs2(_residual(brackets[i][0], seen[k]))
+
+    _solve(p, seen, (k for _, triple in brackets for k in triple), backend, ode_tol)
+    runs = [_minimize(*triple, xtol) for _, triple in brackets]
+    xs, nfev = [None] * len(runs), 0
+    owed = dict.fromkeys(range(len(runs)))  # what each unfinished run is sent next; None starts it
+    while owed:
+        wanted = {}
+        for i, value in owed.items():
+            try:
+                k = runs[i].send(value)
+                nfev += 1
+                while k in seen:  # solved before: no need to wait for the round
+                    k = runs[i].send(f(i, k))
+                    nfev += 1
+                wanted[i] = k
+            except StopIteration as stop:
+                xs[i] = stop.value
+        _solve(p, seen, wanted.values(), backend, ode_tol)
+        owed = {i: f(i, k) for i, k in wanted.items()}
+    return Refinement(tuple(map(float, xs)), tuple(seen[x] for x in xs), nfev)
 
 
 def _classify(f: Feature, m: TransferMatrix, tol) -> Feature | None:
@@ -216,7 +441,10 @@ def _classify(f: Feature, m: TransferMatrix, tol) -> Feature | None:
 
 
 def _locate(p, k_min, k_max, grid_step, kinds, tol, backend, ode_tol) -> ScanResult:
-    """Features at each kind's grid minima whose refined objective reaches the acceptance floor."""
+    """Features at each kind's grid minima whose refined objective reaches the acceptance floor.
+
+    The minima of every kind are refined together, in one minimize_scalar call.
+    """
     if not (0 < k_min < k_max):
         raise ValueError("need 0 < k_min < k_max")
     if not grid_step > 0:
@@ -225,22 +453,23 @@ def _locate(p, k_min, k_max, grid_step, kinds, tol, backend, ode_tol) -> ScanRes
     ks = k_min + grid_step * np.arange(n)
     ks = ks[ks <= k_max + 1e-12 * max(1.0, k_max)]
     mats = _grid_matrices(p, ks, backend, ode_tol)
-    features = []
+    brackets = []
     for kind in kinds:
         values = _grid_objective(mats, kind)
         if np.all(np.sqrt(values) < ACCEPTANCE_FLOOR):
             continue
-        for i in _local_minima(values):
-            triple = ks[i - 1:i + 2].tolist()
-            k_star, m = _refine(p, triple, kind, backend, ode_tol, tol)
-            if not _residual(kind, m) <= ACCEPTANCE_FLOOR:
-                continue
-            f = Feature(kind, k_star, 0.0, (triple[0], triple[2]), boundary_warning=(
-                k_star - k_min < grid_step or k_max - k_star < grid_step))
-            if kind in _SIDES:
-                f = _classify(f, m, tol)
-            if f is not None:
-                features.append(replace(f, residual=_residual(f.kind, m)))
+        brackets += [(kind, tuple(ks[i - 1:i + 2].tolist())) for i in _local_minima(values)]
+    refined = minimize_scalar(p, brackets, backend, ode_tol, tol)
+    features = []
+    for (kind, (a, _, c)), k_star, m in zip(brackets, refined.x, refined.m):
+        if not _residual(kind, m) <= ACCEPTANCE_FLOOR:
+            continue
+        f = Feature(kind, k_star, 0.0, (a, c), boundary_warning=(
+            k_star - k_min < grid_step or k_max - k_star < grid_step))
+        if kind in _SIDES:
+            f = _classify(f, m, tol)
+        if f is not None:
+            features.append(replace(f, residual=_residual(f.kind, m)))
     features.sort(key=lambda f: f.k_star)
     # bidirectional records found from both sides within max(10*tol, 1e-9) count as one
     kept = features[:1]

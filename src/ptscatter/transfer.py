@@ -265,20 +265,6 @@ def scattering_data(m: TransferMatrix) -> ScatteringData:
     return ScatteringData(m.k, t, r_left, r_right, d, finite, cond, m.backend)
 
 
-def matrix_from_amplitudes(t: complex, r_left: complex, r_right: complex, k: float) -> TransferMatrix:
-    """Inverse dictionary: rebuild M from (T, R_left, R_right). Requires T != 0."""
-    if t == 0:
-        raise ValueError("T = 0 has no transfer-matrix preimage")
-    return TransferMatrix(
-        m11=t - r_left * r_right / t,
-        m12=r_right / t,
-        m21=-r_left / t,
-        m22=1.0 / t,
-        k=float(k),
-        backend="dictionary",
-    )
-
-
 def negative_k_matrix(m: TransferMatrix) -> TransferMatrix:
     """M(-k) = sigma1 M(k) sigma1: swap M11<->M22 and M12<->M21, negate k."""
     return TransferMatrix(m.m22, m.m21, m.m12, m.m11, -m.k, m.backend)

@@ -6,8 +6,18 @@ constant slab), with the interior written in its own exponential basis.
 Stacks are composed by multiplying per-slab matrices, which is valid because
 each slab matrix acts on the global plane-wave coefficients and those are
 constant wherever v = 0. None of the production code paths are reused.
+
+Below them are the formulas only tests read: the parity, time-reversal and
+PT actions on M, the inverse amplitude dictionary, and the round-trip check
+of the CSV/JSON float cells.
 """
+import math
+import warnings
+
 import numpy as np
+
+from ptscatter import io as tables
+from ptscatter.transfer import TransferMatrix
 
 
 def slab_matrix_oracle(v0, width, k, x_left=0.0, flip_branch=False):
@@ -75,3 +85,85 @@ def scarf2_transmission_oracle(k, v1, v2, alpha, dps=30):
         t = (g(-big_a - iq) * g(1 + big_a - iq) * g(0.5 - beta - iq) * g(0.5 + beta - iq)
              / (g(-iq) * g(1 - iq) * g(0.5 - iq) ** 2))
         return complex(t)
+
+
+# --- symmetry actions on M ------------------------------------------------------
+#
+# With sigma1 the first Pauli matrix,
+#
+#     P:  M -> sigma1 M^-1 sigma1
+#     T:  M -> sigma1 M^*  sigma1
+#     PT: M -> (M^-1)^*
+#
+# Each action is an involution on unit-determinant matrices, and a potential's
+# symmetry class shows up as invariance of its transfer matrix under the
+# matching action.
+
+_DET_DRIFT_WARN = 1e-6
+
+
+def _checked_det(m: TransferMatrix) -> complex:
+    det = m.det
+    if det == 0:
+        raise ZeroDivisionError("singular transfer matrix: parity/PT action undefined")
+    if abs(det - 1.0) > _DET_DRIFT_WARN:
+        warnings.warn(
+            f"det M = {det} drifts from 1 by {abs(det - 1.0):.3e}; "
+            "the backend that produced this matrix looks inaccurate",
+            stacklevel=3,
+        )
+    return det
+
+
+def apply_parity(m: TransferMatrix) -> TransferMatrix:
+    """sigma1 M^-1 sigma1: fixes the diagonal (for det M = 1), M12 <-> -M21."""
+    det = _checked_det(m)
+    return TransferMatrix(m.m11 / det, -m.m21 / det, -m.m12 / det, m.m22 / det,
+                          m.k, m.backend)
+
+
+def apply_time_reversal(m: TransferMatrix) -> TransferMatrix:
+    """sigma1 M^* sigma1: M11 <-> M22^*, M12 <-> M21^*."""
+    return TransferMatrix(
+        m.m22.conjugate(), m.m21.conjugate(), m.m12.conjugate(), m.m11.conjugate(),
+        m.k, m.backend,
+    )
+
+
+def apply_pt(m: TransferMatrix) -> TransferMatrix:
+    """(M^-1)^*: equals parity and time reversal composed, in either order."""
+    det = _checked_det(m).conjugate()
+    return TransferMatrix(
+        m.m22.conjugate() / det, -m.m12.conjugate() / det,
+        -m.m21.conjugate() / det, m.m11.conjugate() / det,
+        m.k, m.backend,
+    )
+
+
+def invariance_residual(m: TransferMatrix, action) -> float:
+    """Max entrywise modulus of M - action(M); 0 means exactly invariant.
+
+    action is apply_parity, apply_time_reversal or apply_pt.
+    """
+    return float(np.max(np.abs(m.as_array() - action(m).as_array())))
+
+
+# --- amplitudes and float cells ---------------------------------------------------
+
+def matrix_from_amplitudes(t: complex, r_left: complex, r_right: complex, k: float) -> TransferMatrix:
+    """Inverse dictionary: rebuild M from (T, R_left, R_right). Requires T != 0."""
+    if t == 0:
+        raise ValueError("T = 0 has no transfer-matrix preimage")
+    return TransferMatrix(
+        m11=t - r_left * r_right / t,
+        m12=r_right / t,
+        m21=-r_left / t,
+        m22=1.0 / t,
+        k=float(k),
+        backend="dictionary",
+    )
+
+
+def roundtrip_floats_exact(x: float) -> bool:
+    """The 17 significant digits of a CSV/JSON float cell reproduce any finite float64 exactly."""
+    return math.isnan(x) or float(tables._fmt(x)) == x

@@ -9,15 +9,11 @@ import pytest
 from scipy.optimize import minimize_scalar, root
 
 from ptscatter import (
-    apply_parity,
-    apply_pt,
-    apply_time_reversal,
     classify_symmetry,
     compute_transfer,
     find_spectral_singularities,
     find_unidirectional_points,
     identity_report,
-    invariance_residual,
     scattering_data,
     stack_matrices,
 )
@@ -42,6 +38,8 @@ from ptscatter.identities import (
     residual_negk_matrix,
 )
 from ptscatter.transfer import transfer_matrices
+
+from oracles import apply_parity, apply_pt, apply_time_reversal, invariance_residual
 
 K_GRID = np.linspace(0.3, 3.0, 50)
 ODE_TOL_DET = 1e-9       # criterion 1 pins this tolerance

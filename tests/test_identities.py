@@ -41,12 +41,9 @@ from ptscatter.identities import (
     residual,
 )
 from ptscatter.cli import DEFAULT_VERIFY_TOL
-from ptscatter.transfer import (
-    SINGULARITY_FLOOR,
-    ConvergenceError,
-    abs2,
-    matrix_from_amplitudes,
-)
+from ptscatter.transfer import SINGULARITY_FLOOR, ConvergenceError, abs2
+
+from oracles import matrix_from_amplitudes
 
 
 def _free_data():

@@ -13,13 +13,15 @@ from ptscatter import (
     scattering_data,
     sweep,
 )
-from ptscatter import identities, kernels, transfer
+from ptscatter import identities, kernels, scan, transfer
 from ptscatter import io as tables
 from ptscatter.catalog import barrier, free, onesided, pt_bilayer, pt_stack4
 from ptscatter.cli import run_command
 from ptscatter.identities import GEN_UNITARITY_L, NEGK_AMPLITUDES, RECIPROCITY_GEN
 from ptscatter.potentials import PotentialError, parse_potential_spec
 from ptscatter.scan import ScanResult, SweepResult
+
+from oracles import roundtrip_floats_exact
 
 POTS = {
     "free": '{"layers": [], "x0": 0}',
@@ -130,7 +132,7 @@ def test_json_readers_reject_foreign_type(reader, doc_type):
 def test_seventeen_digit_floats_roundtrip():
     rng = np.random.default_rng(33)
     for x in rng.normal(scale=10.0 ** rng.integers(-8, 8, size=200), size=200):
-        assert tables.roundtrip_floats_exact(float(x))
+        assert roundtrip_floats_exact(float(x))
 
 
 # --- catalog ------------------------------------------------------------------
@@ -426,26 +428,25 @@ SAMPLED_BUMP = {"samples": [{"x": x, "re": float(np.exp(-x * x)),
                             for x in np.linspace(-3.0, 3.0, 13).tolist()]}
 
 
-@pytest.mark.parametrize("spec,argv", [
-    (SAMPLED_BUMP, ["--backend", "ode", "--k-range", "3.0:4.2:13"]),
-    ({"family": "barrier"}, ["--k-range", "0.3:3:271"]),
+@pytest.mark.parametrize("spec,argv,grid", [
+    (SAMPLED_BUMP, ["--backend", "ode", "--k-range", "3.0:4.2:13"], (3.0, 4.2, 13)),
+    ({"family": "barrier"}, ["--k-range", "0.3:3:271"], (0.3, 3.0, 271)),
 ], ids=["ode-sampled-bump", "stack-barrier"])
 def test_scan_computes_its_grid_once_and_each_refine_k_once(tmp_path, capsys, monkeypatch,
-                                                            spec, argv):
-    # both finders share one grid, and the refinements of all kinds share their single-k
-    # solves: the barrier's zeros are bidirectional, so both reflection sides refine each
-    grids, singles = [], []
-
-    def record(ks_or_y0, n):
-        (grids if n > 1 else singles).append(ks_or_y0.tobytes())
+                                                            spec, argv, grid):
+    # both finders share one grid, and the refinements of all kinds share their solves: the
+    # barrier's zeros are bidirectional, so both reflection sides refine each; on the stack
+    # the refinements run in lockstep, one kernel call per round for every pending k
+    calls = []  # the k of each kernel call or ODE system, in call order
 
     def counting_kernel(values, widths, x_left, ks):
-        record(np.asarray(ks), len(ks))
+        calls.append(np.asarray(ks, dtype=float).tolist())
         return stack_transfer(values, widths, x_left, ks)
 
     def counting_solve_ivp(fun, t_span, y0, **kwargs):
-        if t_span[0] == -3.0:  # a system's first piece: y0 is its plane-wave data
-            record(y0, y0.size // 4)
+        if t_span[0] == -3.0:  # a system's first piece: y0 is its plane-wave data, psi'/psi = ik
+            n = y0.size // 4
+            calls.append((y0[n:2 * n] / y0[:n]).imag.tolist())
         return solve_ivp(fun, t_span, y0, **kwargs)
 
     stack_transfer, solve_ivp = kernels.stack_transfer, transfer.solve_ivp
@@ -455,5 +456,34 @@ def test_scan_computes_its_grid_once_and_each_refine_k_once(tmp_path, capsys, mo
     f.write_text(json.dumps(spec))
     assert run_command(["scan", "--potential", str(f)] + argv) == 0
     capsys.readouterr()
-    assert len(grids) == 1
-    assert singles and len(set(singles)) == len(singles)
+    first, *refines = calls
+    assert np.allclose(first, np.linspace(*grid), rtol=1e-12, atol=0)
+    assert [len(ks) for ks in refines].count(grid[2]) == 0
+    refine_ks = [k for ks in refines for k in ks]
+    assert refine_ks and len(set(refine_ks)) == len(refine_ks)
+    if "ode" not in argv:  # a stack round solves all its pending k in one call
+        assert len(refines) < len(set(refine_ks))
+
+
+def test_scan_fails_when_a_refine_solve_fails(tmp_path, capsys, monkeypatch, fail_ode_systems):
+    f = tmp_path / "pot.json"
+    f.write_text(json.dumps({"family": "barrier"}))
+    argv = ["scan", "--potential", str(f), "--backend", "ode", "--k-range", "0.3:3.0:10"]
+    solved = []  # every refine k, exactly as the refinement asked for it
+
+    def recording(p, k, *args):
+        solved.append(k)
+        return compute_transfer(p, k, *args)
+
+    compute_transfer = scan.compute_transfer
+    monkeypatch.setattr(scan, "compute_transfer", recording)
+    assert run_command(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(scan, "compute_transfer", compute_transfer)
+    grid = np.linspace(0.3, 3.0, 10)
+    bad = next(k for k in solved if not np.isclose(k, grid, rtol=1e-12, atol=0).any())
+    fail_ode_systems([bad])
+    assert run_command(argv) == 2
+    out = capsys.readouterr()
+    assert "integration did not converge" in out.err and f"at k={bad}:" in out.err
+    assert out.out == ""

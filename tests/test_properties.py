@@ -14,11 +14,7 @@ from ptscatter import (
     LayerPotential,
     SampledPotential,
     TransferMatrix,
-    apply_parity,
-    apply_pt,
-    apply_time_reversal,
     classify_symmetry,
-    matrix_from_amplitudes,
     negative_k_matrix,
     compute_transfer,
     scattering_data,
@@ -36,6 +32,14 @@ from ptscatter.identities import (
 from ptscatter.potentials import SymmetryClass
 from ptscatter.scan import SweepResult
 from ptscatter.transfer import ODE, STACK, ScatteringData, stack_matrices
+
+from oracles import (
+    apply_parity,
+    apply_pt,
+    apply_time_reversal,
+    matrix_from_amplitudes,
+    roundtrip_floats_exact,
+)
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 layer_value = st.tuples(finite, finite).map(lambda t: complex(*t))
@@ -157,7 +161,7 @@ def test_sampled_pt_completion(points, data):
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @settings(max_examples=200)
 def test_csv_float_cells_roundtrip(x):
-    assert tables.roundtrip_floats_exact(x)
+    assert roundtrip_floats_exact(x)
 
 
 # --- sweep writers against the encoders they replace --------------------------

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
 from ptscatter import (
     Feature,
@@ -282,3 +285,121 @@ def test_moduli_of_nan_entries_do_not_raise():
     _leave_errno_at_erange()
     assert transfer.modulus(complex(1.5e308, 1.5e308)) == np.inf
     assert transfer.abs2(1e200 + 0j) == np.inf
+
+
+# --- the ported minimizers against scipy.optimize.minimize_scalar --------------
+
+def _drive(minimizer, f):
+    """Run a minimizer generator on f; its return value and the x it asked for, in order."""
+    asked = []
+    try:
+        x = next(minimizer)
+        while True:
+            asked.append(x)
+            x = minimizer.send(f(x))
+    except StopIteration as stop:
+        return stop.value, asked
+
+
+def _recorded(f):
+    asked = []
+
+    def g(x):
+        asked.append(x)
+        return f(x)
+    return g, asked
+
+
+def _same(x, y) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def _assert_brent_matches_scipy(f, bracket, xtol):
+    g, scipy_asked = _recorded(f)
+    try:
+        want = scipy_minimize_scalar(g, bracket=bracket, method="brent",
+                                     options={"xtol": xtol, "maxiter": 500})
+    except ValueError:
+        with pytest.raises(ValueError):
+            _drive(scan.brent(*bracket, xtol), f)
+        return False
+    (x, nfev), asked = _drive(scan.brent(*bracket, xtol), f)
+    assert _same(x, want.x) and nfev == want.nfev == len(asked)
+    assert all(map(_same, asked, scipy_asked)) and len(asked) == len(scipy_asked)
+    return True
+
+
+def _assert_bounded_matches_scipy(f, a, c, xatol):
+    g, scipy_asked = _recorded(f)
+    want = scipy_minimize_scalar(g, bounds=(a, c), method="bounded",
+                                 options={"xatol": xatol, "maxiter": 500})
+    (x, nfev), asked = _drive(scan.bounded(a, c, xatol), f)
+    assert _same(x, want.x) and nfev == want.nfev == len(asked)
+    assert all(map(_same, asked, scipy_asked)) and len(asked) == len(scipy_asked)
+
+
+smooth = st.tuples(st.floats(-3, 3), st.floats(0, 2), st.floats(0.1, 20), st.floats(0, 6))
+
+
+@given(smooth, st.floats(-3, 3), st.floats(1e-3, 4), st.sampled_from([1e-12, 1e-10, 1.48e-8, 1e-4]))
+@settings(max_examples=150, deadline=None)
+def test_brent_and_bounded_match_scipy_bit_for_bit(shape, a, width, xtol):
+    x0, amp, freq, phase = shape
+
+    def f(x):
+        return (x - x0) ** 2 + amp * np.sin(freq * x + phase)
+
+    # b is the lowest of 7 interior points, as a grid minimum is, so most brackets are valid
+    c = a + width
+    inner = np.linspace(a, c, 9)[1:-1].tolist()
+    b = min(inner, key=f)
+    _assert_brent_matches_scipy(f, (a, b, c), xtol)
+    _assert_bounded_matches_scipy(f, a, c, xtol)
+
+
+def test_brent_rejects_tied_brackets_as_scipy_does():
+    def parabola(x):
+        return (x - 1.0) ** 2
+
+    # f(b) == f(c): scipy's bracket check is strict, so both reject, and bounded agrees
+    assert not _assert_brent_matches_scipy(parabola, (-1.0, 0.5, 1.5), 1e-10)
+    _assert_bounded_matches_scipy(parabola, -1.0, 1.5, 1e-10)
+    assert _assert_brent_matches_scipy(parabola, (-1.0, 0.75, 1.5), 1e-10)
+
+
+@pytest.mark.parametrize("band", [(-np.inf, np.inf), (0.3, 0.45), (1.0, 1.5), (1.9, 2.1)],
+                         ids=["everywhere", "left-of-b", "right-of-b", "at-c"])
+def test_nan_objective_matches_scipy(band):
+    # NaN on an open band of x: the first rejects the bracket, the middle two are read
+    # inside Brent's iteration, the last at the bracket end
+    def f(x):
+        return np.nan if band[0] < x < band[1] else (x - 0.5) ** 2
+
+    _assert_brent_matches_scipy(f, (0.0, 0.6, 2.0), 1e-10)
+    _assert_bounded_matches_scipy(f, 0.0, 2.0, 1e-10)
+
+
+def test_locate_refines_a_tied_grid_minimum_by_bounded(monkeypatch):
+    # |R_left| - 0.05, floored at 0, is a flat zero around pt-stack4's reflection zero: the
+    # grid minimum's right neighbour ties, Brent rejects that bracket, and bounded on
+    # [a, c] gives k* exactly as scipy's bounded method does
+    def flattened(m11, m12, m21, m22):
+        return np.maximum(transfer.modulus(-m21 / m22) - 0.05, 0.0)
+
+    monkeypatch.setitem(scan._OBJECTIVES, REFLECTIONLESS_LEFT, flattened)
+    bounded, runs = scan.bounded, []
+
+    def recording(a, c, xatol):
+        runs.append((a, c))
+        return bounded(a, c, xatol)
+
+    monkeypatch.setattr(scan, "bounded", recording)
+    p, tol = pt_stack4(), 1e-10
+    res = scan._locate(p, 2.0, 2.5, 0.01, (REFLECTIONLESS_LEFT,), tol, "auto", 1e-9)
+    assert len(runs) == 1 and len(res.features) == 1
+    f = res.features[0]
+    assert f.bracket == runs[0] and f.residual == 0.0
+    want = scipy_minimize_scalar(
+        lambda k: transfer.abs2(scan._residual(REFLECTIONLESS_LEFT, compute_transfer(p, k))),
+        bounds=runs[0], method="bounded", options={"xatol": tol, "maxiter": 500})
+    assert f.k_star == want.x

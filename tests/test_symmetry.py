@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from ptscatter import (
-    TransferMatrix,
-    apply_parity,
-    apply_pt,
-    apply_time_reversal,
-    compute_transfer,
-    invariance_residual,
-)
+from ptscatter import TransferMatrix, compute_transfer
 from ptscatter.catalog import barrier, double_barrier, onesided, pt_bilayer, pt_stack4, scarf2
 from ptscatter.potentials import LayerPotential
+
+from oracles import apply_parity, apply_pt, apply_time_reversal, invariance_residual
 
 
 def _random_unit_det(rng, n):

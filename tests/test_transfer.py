@@ -14,7 +14,6 @@ from ptscatter import (
     SampledPotential,
     TransferMatrix,
     compute_transfer,
-    matrix_from_amplitudes,
     negative_k_matrix,
     scattering_data,
     stack_matrices,
@@ -23,7 +22,7 @@ from ptscatter import (
 from ptscatter.catalog import barrier, double_barrier, free, onesided, pt_bilayer, pt_stack4, scarf2
 from ptscatter.transfer import resolve_backend, transfer_matrices
 
-from oracles import scarf2_transmission_oracle, stack_matrix_oracle
+from oracles import matrix_from_amplitudes, scarf2_transmission_oracle, stack_matrix_oracle
 
 # frozen from the face-matching composition oracle: PT bilayer gamma=0.5, a=1, k=1
 BILAYER_K1 = np.array([
