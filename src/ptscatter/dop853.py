@@ -1,18 +1,21 @@
 """Embedded Dormand-Prince 8(5,3) steps for the ODE backend's batched systems.
 
-One call integrates a system that holds 4 components for each of n
-wavenumbers, stored as 4 blocks of n (column, (psi, psi'), k), across one
+One call integrates psi'' = (v(x) - k^2) psi for both columns of n
+wavenumbers, 4 blocks of n components (column, (psi, psi'), k), across one
 piece of the support. The method, its 12-stage tableau and its step control
 are those of Hairer, Norsett & Wanner, *Solving Ordinary Differential
 Equations I*, Sec. II.10, as scipy's DOP853 implements them: safety 0.9,
 step factors 0.2 to 10, exponent -1/8, the same initial-step rule (its
-norms taken over all components), and a smallest step of 10 ulp(x). Two
+norms taken over all components), and a smallest step of 10 ulp(x). Three
 things differ:
 
 - the error norm is each k's RMS over its own 4 components, maxed over k,
   so every k meets rtol = atol = tol however many share the system; a NaN
   or inf in that norm rejects the step;
-- only the last accepted state is kept: there is no dense output.
+- only the last accepted state is kept: there is no dense output;
+- the equation is linear and the x of every stage is known before the
+  first runs, so v - k^2 is read once per step attempt, at all its nodes,
+  and each stage's derivative is one product written in place.
 """
 from __future__ import annotations
 
@@ -108,7 +111,7 @@ _STEP[12:, 1:] = B, E5, E3
 
 @dataclass
 class Solution:
-    """End of one piece: the state y there, rhs evaluations spent, and whether it got there."""
+    """End of one piece: the state y there, derivatives spent (nfev), and whether it got there."""
 
     y: np.ndarray
     nfev: int
@@ -134,13 +137,17 @@ def _initial_step(fun, t, t_end, y, f, rtol, atol) -> float:
     return min(100 * h0, h1, t_end - t)
 
 
-def solve_ivp(fun, t_span, y0, tol: float) -> Solution:
-    """Integrate y' = fun(x, y) from t_span[0] up to t_span[1] with rtol = atol = tol per k.
+def solve_ivp(coef, t_span, y0, tol: float) -> Solution:
+    """Integrate psi'' = coef(x) psi from t_span[0] up to t_span[1] with rtol = atol = tol per k.
 
-    y0 holds 4 blocks of n components, one component of each k per block.
-    A step is accepted when, for every k, the RMS over its 4 components of
-    the error scaled by atol + rtol * |y| is below 1. A tol under
-    RTOL_FLOOR keeps atol = tol and raises rtol to the floor, with a warning.
+    coef takes a 1-D float array of x, which it must not keep, and returns
+    v(x) - k^2 there, shape (len(x), n) or (1, n). It is called at the 11
+    stage nodes and the end of each step attempt, and at each of the
+    initial-step rule's two points; nfev counts derivatives: 2, 11 per
+    attempt and 1 per accepted step that ends inside the piece. A step is
+    accepted when, for every k, the RMS over its 4 components of the error
+    scaled by atol + rtol * |y| is below 1. A tol under RTOL_FLOOR keeps
+    atol = tol and raises rtol to the floor, with a warning.
     """
     t, t_end = map(float, t_span)
     atol, rtol = tol, tol
@@ -148,30 +155,44 @@ def solve_ivp(fun, t_span, y0, tol: float) -> Solution:
         warnings.warn(f"ode_tol {tol} is below 100 eps: rtol is raised to {RTOL_FLOOR}",
                       stacklevel=2)
         rtol = RTOL_FLOOR
+    n = y0.size // 4
+    # y' = g * (psi', psi) per column, g = (1, v - k^2) at the 11 stage nodes and the end
+    g = np.ones((12, 2, n), dtype=complex)
+
+    def derivative(x, y):
+        g[:1, 1] = coef(np.array([x]))
+        return np.multiply(g[0], y.reshape(2, 2, n)[:, ::-1]).reshape(-1)
+
     y = y0
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, t_end, y, f, rtol, atol)
+    ys = np.empty((13, y.size), dtype=complex)  # y, then stage K_s in row s + 1
+    ys[1] = f = derivative(t, y)
+    h_abs = _initial_step(derivative, t, t_end, y, f, rtol, atol)
     nfev = 2
     scaled = _STEP.copy()  # columns 1.. times h
     by_h, unscaled = scaled[:, 1:], _STEP[:, 1:]
-    ys = np.empty((13, y.size), dtype=complex)  # y, then stage K_s in row s + 1
     real = ys.view(float)  # the tableau is real: products run on re and im parts alike
-    stages = [(s + 1, scaled[s, :s + 1], real[:s + 1], C[s]) for s in range(1, 12)]
+    stages = [(scaled[s, :s + 1], real[:s + 1], g[s - 1], ys[s + 1].reshape(2, 2, n))
+              for s in range(1, 12)]
+    nodes, c = np.empty(12), np.array(C[1:])
     abs_y = np.abs(y)
     while t < t_end:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         ys[0] = y
-        ys[1] = f
         while True:
             if not h_abs >= min_step:  # NaN too
                 return Solution(y, nfev, False, TOO_SMALL_STEP)
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             np.multiply(unscaled, h, out=by_h)
-            for i, row, known, c in stages:
-                ys[i] = fun(t + c * h, np.dot(row, known).view(complex))
+            # t + 1.0 * h may differ from t_new, so the end is a node of its own
+            np.add(np.multiply(c, h, out=nodes[:11]), t, out=nodes[:11])
+            nodes[11] = t_new
+            g[:, 1] = coef(nodes)
+            for row, known, g_s, k_s in stages:
+                np.multiply(g_s, np.dot(row, known).view(complex).reshape(2, 2, n)[:, ::-1],
+                            out=k_s)
             nfev += 11
             out = np.dot(scaled[12:], real).view(complex)
             y_new = out[0]
@@ -192,6 +213,6 @@ def solve_ivp(fun, t_span, y0, tol: float) -> Solution:
             rejected = True
         t, y, abs_y = t_new, y_new, abs_new
         if t < t_end:  # f at the piece's end would go unused
-            f = fun(t, y)
+            np.multiply(g[11], y.reshape(2, 2, n)[:, ::-1], out=ys[1].reshape(2, 2, n))
             nfev += 1
     return Solution(y, nfev, True)

@@ -9,7 +9,6 @@ below a configurable threshold.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -119,7 +118,7 @@ class SampledPotential:
                 raise PotentialError(f"sample {i}: non-finite value {v}")
         object.__setattr__(self, "xs", tuple(xs))
         object.__setattr__(self, "vs", tuple(vs))
-        # arrays built once: evaluate runs per ODE right-hand side, and
+        # arrays built once: evaluate runs once per ODE step, and
         # converting the tuples there costs O(len(xs)) per call
         object.__setattr__(self, "_xs", np.asarray(self.xs))
         object.__setattr__(self, "_vs", np.asarray(self.vs, dtype=complex))
@@ -128,22 +127,7 @@ class SampledPotential:
         return (self.xs[0], self.xs[-1])
 
     def evaluate(self, x):
-        """Linear interpolation, 0 outside the samples (array-friendly).
-
-        A float inside the support (the ODE's per-stage call) is bisected and
-        takes np.interp's arithmetic: v_j at an exact abscissa, else
-        slope * (x - x_j) + v_j per part, so it rounds as the array branch.
-        """
-        xs = self.xs
-        if isinstance(x, float) and xs[0] <= x <= xs[-1]:
-            x = float(x)  # a numpy float64 would make the result numpy's complex
-            j = bisect_right(xs, x) - 1
-            v0 = self.vs[j]
-            if x == xs[j]:
-                return v0.real + 1j * v0.imag
-            v1, dx = self.vs[j + 1], xs[j + 1] - xs[j]
-            return ((v1.real - v0.real) / dx * (x - xs[j]) + v0.real
-                    + 1j * ((v1.imag - v0.imag) / dx * (x - xs[j]) + v0.imag))
+        """Linear interpolation, 0 outside the samples (array-friendly)."""
         x = np.asarray(x, dtype=float)
         xs, vs = self._xs, self._vs
         out = np.interp(x, xs, vs.real) + 1j * np.interp(x, xs, vs.imag)
@@ -201,14 +185,8 @@ class AnalyticPotential:
         return self._support
 
     def evaluate(self, x):
-        """The profile inside the truncated support, 0 outside (array-friendly).
-
-        A float inside the support (the ODE's per-stage call) goes in as a
-        numpy float64, which rounds as a 0-d array does (math.exp would not).
-        """
+        """The profile inside the truncated support, 0 outside (array-friendly)."""
         lo, hi = self._support
-        if isinstance(x, float) and lo <= x <= hi:
-            return complex(self._raw(np.float64(x)))
         x = np.asarray(x, dtype=float)
         out = np.where((x < lo) | (x > hi), 0.0, self._raw(x))
         return out if out.shape else complex(out)

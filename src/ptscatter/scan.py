@@ -24,6 +24,7 @@ from .transfer import (
     ConvergenceError,
     ScatteringData,
     TransferMatrix,
+    _rows,
     abs2,
     compute_transfer,
     modulus,
@@ -388,10 +389,11 @@ def _solve(p, seen: dict, ks, backend, ode_tol) -> None:
             seen[k] = compute_transfer(p, float(k), backend, ode_tol)
 
 
-def minimize_scalar(p, brackets, backend, ode_tol, xtol) -> Refinement:
+def minimize_scalar(p, brackets, backend, ode_tol, xtol, known) -> Refinement:
     """k* minimizing kind's squared objective in each (kind, (a, b, c)) bracket, all in lockstep.
 
-    Each bracket runs _minimize. All bracket points are solved first, in one
+    Each bracket runs _minimize. The known TransferMatrix rows are taken as
+    solved at their k; all other bracket points are solved first, in one
     batch; then every round advances each unfinished minimizer to the next k
     that no earlier round solved, and solves those k together. The stack
     kernel gives every k in a batch bit for bit its single-k M, and the ODE
@@ -400,6 +402,7 @@ def minimize_scalar(p, brackets, backend, ode_tol, xtol) -> Refinement:
     so no k is solved twice. A failed ODE solve raises its ConvergenceError.
     """
     seen = _memo(p, backend, ode_tol)
+    seen.update((m.k, m) for m in known)
 
     def f(i, k):
         return abs2(_residual(brackets[i][0], seen[k]))
@@ -453,13 +456,18 @@ def _locate(p, k_min, k_max, grid_step, kinds, tol, backend, ode_tol) -> ScanRes
     ks = k_min + grid_step * np.arange(n)
     ks = ks[ks <= k_max + 1e-12 * max(1.0, k_max)]
     mats = _grid_matrices(p, ks, backend, ode_tol)
-    brackets = []
+    brackets, at = [], []  # at: the grid index of every bracket point
     for kind in kinds:
         values = _grid_objective(mats, kind)
         if np.all(np.sqrt(values) < ACCEPTANCE_FLOOR):
             continue
-        brackets += [(kind, tuple(ks[i - 1:i + 2].tolist())) for i in _local_minima(values)]
-    refined = minimize_scalar(p, brackets, backend, ode_tol, tol)
+        minima = _local_minima(values).tolist()
+        brackets += [(kind, tuple(ks[i - 1:i + 2].tolist())) for i in minima]
+        at += [j for i in minima for j in (i - 1, i, i + 1)]
+    # stack grid rows are bit for bit single-k rows; an ODE grid row, from one batched
+    # system, differs from a single-k solve in its last digits, so it is solved again
+    known = _rows(ks[at], mats[at], STACK) if resolve_backend(p, backend) == STACK else ()
+    refined = minimize_scalar(p, brackets, backend, ode_tol, tol, known)
     features = []
     for (kind, (a, _, c)), k_star, m in zip(brackets, refined.x, refined.m):
         if not _residual(kind, m) <= ACCEPTANCE_FLOOR:

@@ -137,8 +137,9 @@ def _integrate(p: Potential, ks: np.ndarray, tol: float) -> np.ndarray:
     solve restarts at each breakpoint, so no step crosses a jump or a kink
     of the profile; on a layer the constant v is read once, from the middle
     of the piece, so no stage sees the next layer's value at the edge. Each
-    piece is one call of solve_ivp (dop853.py), which holds every k's own
-    error to rtol = atol = tol and returns only the state at the piece's end.
+    piece is one call of solve_ivp (dop853.py), which reads v - k^2 at all
+    nodes of a step in one evaluate call, holds every k's own error to
+    rtol = atol = tol and returns only the state at the piece's end.
     """
     n = ks.size
     k2 = ks * ks
@@ -147,24 +148,15 @@ def _integrate(p: Potential, ks: np.ndarray, tol: float) -> np.ndarray:
     el = np.exp(ik * lo)
     y = np.concatenate((el, ik * el, 1.0 / el, -ik / el))
 
-    # (psi, psi')' = (psi', (v - k^2) psi) is g * (psi', psi) with g = (1, v - k^2); its
-    # second row is written once per layer piece, or at each stage of any other profile
-    g = np.ones((2, n), dtype=complex)
-    evaluate = p.evaluate
-
-    def constant_v(x, y):
-        return (g * y.reshape(2, 2, n)[:, ::-1]).reshape(-1)  # column, (psi, psi'), k
-
-    def rhs(x, y):
-        np.subtract(evaluate(x), k2, out=g[1])
-        return constant_v(x, y)
+    def coef(xs):  # v - k^2 at every node and k
+        return np.subtract.outer(p.evaluate(xs), k2, dtype=complex)
 
     layered = isinstance(p, LayerPotential)
     e = _breakpoints(p).tolist()
     for a, b in zip(e[:-1], e[1:]):
         if layered:
-            np.subtract(evaluate((a + b) / 2), k2, out=g[1])
-        sol = solve_ivp(constant_v if layered else rhs, (a, b), y, tol=tol)
+            row = coef(np.array([(a + b) / 2]))
+        sol = solve_ivp((lambda xs: row) if layered else coef, (a, b), y, tol=tol)
         if not sol.success:
             where = f"k={ks.tolist()[0]}" if n == 1 else f"{n} k"
             raise ConvergenceError(f"integration failed on [{a}, {b}] at {where}: {sol.message}")

@@ -436,7 +436,8 @@ def test_scan_computes_its_grid_once_and_each_refine_k_once(tmp_path, capsys, mo
                                                             spec, argv, grid):
     # both finders share one grid, and the refinements of all kinds share their solves: the
     # barrier's zeros are bidirectional, so both reflection sides refine each; on the stack
-    # the refinements run in lockstep, one kernel call per round for every pending k
+    # the refinements run in lockstep, one kernel call per round for every pending k,
+    # and start from the grid's rows
     calls = []  # the k of each kernel call or ODE system, in call order
 
     def counting_kernel(values, widths, x_left, ks):
@@ -463,6 +464,8 @@ def test_scan_computes_its_grid_once_and_each_refine_k_once(tmp_path, capsys, mo
     assert refine_ks and len(set(refine_ks)) == len(refine_ks)
     if "ode" not in argv:  # a stack round solves all its pending k in one call
         assert len(refines) < len(set(refine_ks))
+        # and the bracket points are the grid's own rows, bit for bit the single-k ones
+        assert not set(refine_ks) & set(first)
 
 
 def test_scan_fails_when_a_refine_solve_fails(tmp_path, capsys, monkeypatch, fail_ode_systems):

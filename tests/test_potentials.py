@@ -275,7 +275,7 @@ def test_classify_mirrored_real_stack_with_edges_on_grid():
 
 _BUMP_XS = np.linspace(-3.0, 3.0, 13)
 # signed zeros among the values: an exact abscissa must not return its sample as stored
-SCALAR_CASES = {
+NODE_CASES = {
     "layers": LayerPotential((0.3 + 0.1j, complex(-0.0, -0.3), -0.3, 0.3 - 0.1j), (1.5,) * 4, -3.0),
     "samples": SampledPotential(tuple(_BUMP_XS), tuple(
         complex(-0.0 if x == 0 else np.exp(-x * x), 0.3 * x * np.exp(-x * x)) for x in _BUMP_XS)),
@@ -285,26 +285,26 @@ SCALAR_CASES = {
 
 
 @st.composite
-def _scalar_points(draw):
-    name = draw(st.sampled_from(sorted(SCALAR_CASES)))
-    p = SCALAR_CASES[name]
+def _step_nodes(draw):
+    """A profile and 12 x, as many as the ODE reads in one evaluate call per step."""
+    name = draw(st.sampled_from(sorted(NODE_CASES)))
+    p = NODE_CASES[name]
     lo, hi = p.support_interval()
     special = _breakpoints(p).tolist() + [-0.0, 0.0, lo - 1.0, hi + 1.0]
     special += [np.nextafter(x, s) for x in special for s in (-np.inf, np.inf)]
-    return name, draw(st.one_of(st.sampled_from(special), st.floats(lo - 1.0, hi + 1.0)))
+    node = st.one_of(st.sampled_from(special), st.floats(lo - 1.0, hi + 1.0))
+    return name, draw(st.lists(node, min_size=12, max_size=12))
 
 
-@given(_scalar_points())
-@example(("gaussian", 0.6725))  # (x / width) ** 2 once made its one-element array value differ here
+@given(_step_nodes())
+@example(("gaussian", [0.6725] * 12))  # (x / width) ** 2 once made a one-element array differ here
 @settings(max_examples=400, deadline=None)
-def test_scalar_evaluate_is_bit_identical_to_the_array_branch(case):
-    # the ODE reads v at one float per stage through the scalar branch; repr tells signed zeros apart
-    name, x = case
-    p = SCALAR_CASES[name]
-    got = p.evaluate(x)
-    assert type(got) is complex
-    # the 0-d array branch is the reference the ODE's byte-identity is held to
-    assert repr(got) == repr(p.evaluate(np.asarray(x)))
-    # and every profile agrees with it on any array shape
-    assert repr(got) == repr(complex(p.evaluate(np.array([x]))[0]))
-
+def test_evaluate_on_a_node_array_is_bit_identical_to_each_node_alone(case):
+    # the ODE reads all nodes of a step in one call; each node read through a 0-d
+    # array is the reference, and int64 views tell signed zeros apart
+    name, nodes = case
+    p = NODE_CASES[name]
+    got = np.asarray(p.evaluate(np.array(nodes)), dtype=complex)
+    alone = np.array([p.evaluate(np.asarray(x)) for x in nodes], dtype=complex)
+    assert got.shape == (12,)
+    assert np.array_equal(got.view(np.int64), alone.view(np.int64))

@@ -202,14 +202,13 @@ def test_ode_layer_pieces_read_only_their_own_layer(monkeypatch):
     calls, nfev = [], []
     solve_ivp = transfer.solve_ivp
 
-    def checking_solve_ivp(fun, t_span, y0, **kwargs):
+    def checking_solve_ivp(coef, t_span, y0, **kwargs):
         g_own = PT4_EDGES.values[edges.index(t_span[0])] - k * k
 
-        def checked(x, y):
-            f = fun(x, y)
-            calls.append(np.allclose(f[1], g_own * y[0], rtol=1e-14, atol=0)
-                         and np.allclose(f[3], g_own * y[2], rtol=1e-14, atol=0))
-            return f
+        def checked(xs):
+            g = coef(xs)
+            calls.append((xs.size, np.allclose(g, g_own, rtol=1e-14, atol=0)))
+            return g
 
         sol = solve_ivp(checked, t_span, y0, **kwargs)
         nfev.append(sol.nfev)
@@ -217,29 +216,25 @@ def test_ode_layer_pieces_read_only_their_own_layer(monkeypatch):
 
     monkeypatch.setattr(transfer, "solve_ivp", checking_solve_ivp)
     m = transfer_matrix_ode(PT4_EDGES, k, tol)
-    assert len(nfev) == 4 and len(calls) == sum(nfev) and all(calls)
+    # per piece 2 single nodes, then one call per attempt: 11 derivatives each, and one
+    # more for each accepted step that ends inside the piece
+    attempts = sum(size == 12 for size, _ in calls)
+    assert len(nfev) == 4 and len(calls) == 2 * 4 + attempts and all(ok for _, ok in calls)
+    assert 2 * 4 + 11 * attempts < sum(nfev) < 2 * 4 + 12 * attempts
     assert sum(nfev) < 2564 // 2
     ms = compute_transfer(PT4_EDGES, k, "stack").as_array()
     assert np.max(np.abs(m.as_array() - ms)) <= 100 * tol * np.max(np.abs(ms))
 
 
-
-def _array_rhs(p, ks, t_span):
-    """Reference ODE right-hand side: each derivative row written out, v read through
-    evaluate's array branch from a 0-d array (once, at its middle, on a layer piece).
+def _array_coef(p, ks, t_span):
+    """Reference coefficient v - k^2: v read through evaluate's array branch from one 0-d
+    array per node (once, at its middle, on a layer piece).
     """
-    n, k2, (a, b) = ks.size, ks * ks, t_span
-    g_layer = p.evaluate(np.asarray((a + b) / 2)) - k2
-
-    def rhs(x, y):
-        g = g_layer if isinstance(p, LayerPotential) else p.evaluate(np.asarray(x)) - k2
-        y = y.reshape(2, 2, n)
-        f = np.empty_like(y)
-        f[:, 0] = y[:, 1]
-        np.multiply(g, y[:, 0], out=f[:, 1])
-        return f.reshape(-1)
-
-    return rhs
+    k2, (a, b) = ks * ks, t_span
+    if isinstance(p, LayerPotential):
+        row = np.array([p.evaluate(np.asarray((a + b) / 2)) - k2])
+        return lambda xs: row
+    return lambda xs: np.array([p.evaluate(np.asarray(x)) - k2 for x in xs])
 
 
 _BUMP_XS = np.linspace(-3.0, 3.0, 13)
@@ -256,14 +251,40 @@ def test_ode_rhs_is_bit_identical_to_the_array_reference(monkeypatch, p, n):
     ks = np.linspace(0.4, 2.9, n)
     solve_ivp = transfer.solve_ivp
 
-    def with_reference_rhs(fun, t_span, y0, **kwargs):
-        return solve_ivp(_array_rhs(p, ks, t_span), t_span, y0, **kwargs)
+    def with_reference_coef(coef, t_span, y0, **kwargs):
+        return solve_ivp(_array_coef(p, ks, t_span), t_span, y0, **kwargs)
 
-    monkeypatch.setattr(transfer, "solve_ivp", with_reference_rhs)
+    monkeypatch.setattr(transfer, "solve_ivp", with_reference_coef)
     expected = transfer._integrate(p, ks, 1e-10)
     monkeypatch.undo()
     got = transfer._integrate(p, ks, 1e-10)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))  # signed zeros too
+
+
+@pytest.mark.parametrize("p", [_BUMP, scarf2()], ids=["sampled-bump", "scarf2"])
+def test_ode_evaluates_the_profile_once_per_step_attempt(monkeypatch, p):
+    # v at all 12 nodes of a step attempt in one call, plus the initial-step rule's two
+    # points per piece; a read per stage made about 12 calls per step
+    evaluations, pieces = [], []
+    evaluate, solve_ivp = type(p).evaluate, transfer.solve_ivp
+
+    def counting_evaluate(self, x):
+        evaluations.append(np.size(x))
+        return evaluate(self, x)
+
+    def counting_solve_ivp(coef, t_span, y0, **kwargs):
+        before = len(evaluations)
+        sol = solve_ivp(coef, t_span, y0, **kwargs)
+        attempts = (sol.nfev - 2) // 11  # or more: an attempt adds 11 to nfev, and 1 if accepted
+        pieces.append((len(evaluations) - before, attempts))
+        return sol
+
+    monkeypatch.setattr(type(p), "evaluate", counting_evaluate)
+    monkeypatch.setattr(transfer, "solve_ivp", counting_solve_ivp)
+    transfer_matrices(p, np.linspace(0.3, 3.0, 4), "ode", 1e-10)
+    assert pieces and all(calls <= attempts + 2 for calls, attempts in pieces)
+    assert sum(evaluations) >= 12 * sum(calls - 2 for calls, _ in pieces)
+
 
 @pytest.mark.parametrize("params", [(1.0, 0.5, 1.0), (2.0, 1.5, 1.3)])
 def test_batched_ode_matches_scarf2_closed_form(params):
@@ -326,20 +347,18 @@ def test_nonfinite_rhs_fails_the_solve_of_its_k_only(monkeypatch, bad):
     ks = [0.5, 1.1, 1.7]
     solve_ivp = transfer.solve_ivp
 
-    def poisoned(fun, t_span, y0, **kwargs):
+    def poisoned(coef, t_span, y0, **kwargs):
         if t_span[0] != -1.0:
-            return solve_ivp(fun, t_span, y0, **kwargs)
+            return solve_ivp(coef, t_span, y0, **kwargs)
         n = y0.size // 4  # first piece: plane-wave data, psi'/psi = ik
         hit = np.isclose((y0[n:2 * n] / y0[:n]).imag, 1.1)
 
-        def rhs(x, y):
-            f = fun(x, y)
-            if x > -0.8:
-                f = f.copy()
-                f[:n][hit] = bad
-            return f
+        def poisoned_coef(xs):
+            g = np.broadcast_to(coef(xs), (xs.size, n)).copy()
+            g[np.ix_(xs > -0.8, hit)] = bad
+            return g
 
-        return solve_ivp(rhs, t_span, y0, **kwargs)
+        return solve_ivp(poisoned_coef, t_span, y0, **kwargs)
 
     monkeypatch.setattr(transfer, "solve_ivp", poisoned)
     rows = transfer_matrices(pt_stack4(), ks, "ode", 1e-10)

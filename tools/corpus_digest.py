@@ -50,6 +50,8 @@ DENSE_SCAN, SPARSE_SCAN = "0.3:3.0:271", "0.3:3.0:10"
 ODE_ONLY = "scarf2-pt"  # the one analytic profile: every run integrates the ODE
 GAMMA_STAR, K_STAR = 2.071737124880286, "1.064682550561970"  # a pt-bilayer singularity
 PT2L_SCAN = "0.8957570661443863:3.3957570661443865:2000"
+# the gaussian's |R| falls below the ODE's noise past k = 10: a grid minimum there is refined
+GAUSSIAN_SCAN = "0.3:12.0:40"
 
 # perfbench's 13-point sampled PT bump (SMALL_R_SPEC in perfbench/workloads.py)
 SAMPLED_PT = {"samples": [{"x": float(x), "re": float(np.exp(-x * x)),
@@ -66,8 +68,9 @@ SAMPLED_SPIKE = {"samples": [{"x": x, "re": v} for x, v in
 # a two-layer PT stack whose bidirectional zeros have unequal |R_left| and |R_right|,
 # a sampled profile, two spikes narrower than any fixed classification grid,
 # Scarf II round its n = 1 spectral singularity k* = sqrt(6.5) / 2, and a gaussian
-# (the other analytic family); the ODE scans of the sampled profile and of Scarf II
-# refine grid minima
+# (the other analytic family); the ODE scans of the sampled profile, of Scarf II and of
+# the gaussian refine grid minima, and a Scarf II verify at ode_tol 1e-13 rejects steps
+# (its +-0.1 system rejects 4; a k array from 0.1 to 3 rejects none)
 EXTRAS = (
     ("opaque-slab", {"layers": [{"re": 10000, "width": 10}], "x0": -5}, (
         ["sweep", "--backend", "stack", "--format", "csv", "--k-range", "0.3:3.0:60"],
@@ -105,10 +108,12 @@ EXTRAS = (
     )),
     ("scarf2-singular", {"family": "scarf2", "params": {"v1": 1, "v2": 7.75}}, (
         ["scan", "--k-range", "1.0:1.6:61"],
+        ["verify", "--backend", "ode", "--ode-tol", "1e-13", "--k", "0.1"],
     )),
     ("gaussian", {"family": "gaussian", "params": {"height": 1.3, "width": 0.7}}, (
         ["sweep", "--format", "json", "--k-range", SPARSE_SWEEP],
         ["verify", "--format", "json", "--k-range", SPARSE_VERIFY],
+        ["scan", "--backend", "ode", "--k-range", GAUSSIAN_SCAN],
     )),
 )
 
