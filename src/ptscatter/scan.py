@@ -2,18 +2,18 @@
 
 A feature is a real wavenumber where the modulus that _OBJECTIVES assigns to
 its kind touches zero. Grid local minima of the squared modulus are refined by
-Brent's method from their grid bracket, and a zero is accepted only when the
-refined modulus is at or below an acceptance floor, so shallow dips are never
-promoted to features. The minimizers (scipy's Brent and bounded methods,
-ported as generators) run in lockstep: each round solves the next k of every
-unfinished refinement together, so scipy is not needed at run time.
+Brent's method, which starts from the grid minimum and stays inside its grid
+neighbours, and a zero is accepted only when the refined modulus is at or
+below an acceptance floor, so shallow dips are never promoted to features.
+The refinements (scipy's Brent, ported as a generator) run in lockstep: each
+round solves the next k of every unfinished one together, so scipy is not
+needed at run time.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from math import sqrt
 
 import numpy as np
 
@@ -170,30 +170,27 @@ def _local_minima(values: np.ndarray) -> np.ndarray:
     return np.nonzero(interior)[0] + 1
 
 
-# scipy's constants: Brent's golden ratio and absolute tolerance floor, fminbound's relative one
+# scipy's Brent constants: golden ratio, absolute tolerance floor, iteration cap
 _CG = 0.3819660
 _MINTOL = 1.0e-11
-_SQRT_EPS = sqrt(2.2e-16)
 _MAXITER = 500
 
 
 def brent(xa, xb, xc, xtol):
-    """scipy's Brent.optimize from the bracket (xa, xb, xc), as a generator.
+    """scipy's Brent.optimize core from the bracket (xa, xb, xc), as a generator.
 
-    Yields each x to evaluate and is sent f(x); returns (x_min, nfev). Like
-    scipy's 3-point get_bracket_info it raises ValueError unless
-    xa < xb < xc (ends in either order) and f(xb) is below f(xa) and f(xc).
+    Yields each x to evaluate and is sent f(x); returns (x_min, nfev). Raises
+    ValueError unless xa < xb < xc (ends in either order). f is read at xb and
+    at each step, never at xa or xc, so nfev starts at 1 and a tied or NaN end
+    is no reason to refuse. Stops with x within 2 * (xtol * |x| + 1e-11) of
+    both ends of its interval.
     """
     if xa > xc:
         xc, xa = xa, xc
     if not ((xa < xb) and (xb < xc)):
         raise ValueError("bracket (xa, xb, xc) needs xa < xb < xc")
-    fa = yield xa
     fb = yield xb
-    fc = yield xc
-    if not ((fb < fa) and (fb < fc)):
-        raise ValueError("bracket (xa, xb, xc) needs f(xb) < f(xa) and f(xb) < f(xc)")
-    funcalls = 3
+    funcalls = 1
     x = w = v = xb
     fw = fv = fx = fb
     a, b = xa, xc
@@ -273,105 +270,9 @@ def brent(xa, xb, xc, xtol):
     return x, funcalls
 
 
-def bounded(x1, x2, xatol):
-    """scipy's fminbound (minimize_scalar method="bounded") on [x1, x2], as a generator.
-
-    Yields each x to evaluate and is sent f(x); returns (x_min, nfev).
-    """
-    if not (np.isfinite(x1) and np.isfinite(x2)):
-        raise ValueError("bounds must be finite")
-    if x1 > x2:
-        raise ValueError("the lower bound exceeds the upper bound")
-    golden_mean = 0.5 * (3.0 - sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = yield x
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while (np.abs(xf - xm) > (tol2 - 0.5 * (b - a))):
-        golden = 1
-        if np.abs(e) > tol1:  # parabolic fit
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and
-                    (p < q * (b - xf))):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:
-                golden = 1
-        if golden:  # golden section step
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = golden_mean * e
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = yield x
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _MAXITER:
-            break
-    return xf, num
-
-
-def _minimize(a, b, c, xtol):
-    """Brent from the grid bracket (a, b, c); bounded on [a, c] if Brent rejects or leaves it.
-
-    Brent converges to xtol; bounded is only the fallback because it cannot
-    localize better than sqrt(machine eps) in relative terms, which is coarser
-    than the acceptance floor.
-    """
-    try:
-        x, _ = yield from brent(a, b, c, xtol)
-        if a <= x <= c:
-            return x
-    except ValueError:
-        pass
-    x, _ = yield from bounded(a, c, xtol)
-    return x
-
-
 @dataclass(frozen=True)
 class Refinement:
-    """Per bracket, k* and M(k*); nfev counts the objective values all minimizers read."""
+    """Per bracket, k* and M(k*); nfev counts objective reads, at b and one per Brent step."""
     x: tuple[float, ...]
     m: tuple[TransferMatrix, ...]
     nfev: int
@@ -392,14 +293,14 @@ def _solve(p, seen: dict, ks, backend, ode_tol) -> None:
 def minimize_scalar(p, brackets, backend, ode_tol, xtol, known) -> Refinement:
     """k* minimizing kind's squared objective in each (kind, (a, b, c)) bracket, all in lockstep.
 
-    Each bracket runs _minimize. The known TransferMatrix rows are taken as
-    solved at their k; all other bracket points are solved first, in one
-    batch; then every round advances each unfinished minimizer to the next k
-    that no earlier round solved, and solves those k together. The stack
-    kernel gives every k in a batch bit for bit its single-k M, and the ODE
-    solves each k alone, so every minimizer takes the iterates it would take
-    on its own. M is kept at every k solved (shared within shared_work()),
-    so no k is solved twice. A failed ODE solve raises its ConvergenceError.
+    Each bracket runs brent, which reads b and then one k per step, never a
+    or c. The known TransferMatrix rows are taken as solved at their k. Every
+    round advances each unfinished run to the next k that no earlier round
+    solved, and solves those k together; the first round's k are the grid
+    minima. The stack kernel gives every k in a batch bit for bit its
+    single-k M, and the ODE solves each k alone, so every run takes the
+    iterates it would take on its own. M is kept at every k solved (shared
+    within shared_work()), so no k is solved twice. A failed ODE solve raises its ConvergenceError.
     """
     seen = _memo(p, backend, ode_tol)
     seen.update((m.k, m) for m in known)
@@ -407,8 +308,7 @@ def minimize_scalar(p, brackets, backend, ode_tol, xtol, known) -> Refinement:
     def f(i, k):
         return abs2(_residual(brackets[i][0], seen[k]))
 
-    _solve(p, seen, (k for _, triple in brackets for k in triple), backend, ode_tol)
-    runs = [_minimize(*triple, xtol) for _, triple in brackets]
+    runs = [brent(*triple, xtol) for _, triple in brackets]
     xs, nfev = [None] * len(runs), 0
     owed = dict.fromkeys(range(len(runs)))  # what each unfinished run is sent next; None starts it
     while owed:
@@ -416,13 +316,12 @@ def minimize_scalar(p, brackets, backend, ode_tol, xtol, known) -> Refinement:
         for i, value in owed.items():
             try:
                 k = runs[i].send(value)
-                nfev += 1
                 while k in seen:  # solved before: no need to wait for the round
                     k = runs[i].send(f(i, k))
-                    nfev += 1
                 wanted[i] = k
             except StopIteration as stop:
-                xs[i] = stop.value
+                xs[i], n = stop.value
+                nfev += n
         _solve(p, seen, wanted.values(), backend, ode_tol)
         owed = {i: f(i, k) for i, k in wanted.items()}
     return Refinement(tuple(map(float, xs)), tuple(seen[x] for x in xs), nfev)
@@ -448,22 +347,22 @@ def _locate(p, k_min, k_max, grid_step, kinds, tol, backend, ode_tol) -> ScanRes
 
     The minima of every kind are refined together, in one minimize_scalar call.
     """
-    if not (0 < k_min < k_max):
-        raise ValueError("need 0 < k_min < k_max")
-    if not grid_step > 0:
-        raise ValueError("grid_step must be positive")
+    if not (0 < k_min < k_max < np.inf):
+        raise ValueError("need finite 0 < k_min < k_max")
+    if not 0 < grid_step < np.inf:
+        raise ValueError("grid_step must be positive and finite")
     n = int(np.floor((k_max - k_min) / grid_step + 0.5)) + 1
     ks = k_min + grid_step * np.arange(n)
     ks = ks[ks <= k_max + 1e-12 * max(1.0, k_max)]
     mats = _grid_matrices(p, ks, backend, ode_tol)
-    brackets, at = [], []  # at: the grid index of every bracket point
+    brackets, at = [], []  # at: the grid index of every bracket's minimum
     for kind in kinds:
         values = _grid_objective(mats, kind)
         if np.all(np.sqrt(values) < ACCEPTANCE_FLOOR):
             continue
         minima = _local_minima(values).tolist()
         brackets += [(kind, tuple(ks[i - 1:i + 2].tolist())) for i in minima]
-        at += [j for i in minima for j in (i - 1, i, i + 1)]
+        at += minima
     # stack grid rows are bit for bit single-k rows; an ODE grid row, from one batched
     # system, differs from a single-k solve in its last digits, so it is solved again
     known = _rows(ks[at], mats[at], STACK) if resolve_backend(p, backend) == STACK else ()
@@ -495,8 +394,9 @@ def find_spectral_singularities(
 ) -> ScanResult:
     """Locate real-k zeros of M22 (poles of the amplitudes) on [k_min, k_max].
 
-    Grid local minima of |M22|^2 are refined by Brent's method to
-    bracket width <= tol and accepted only when the refined |M22| is at or
+    Grid local minima of |M22|^2 are refined by Brent's method until k* is
+    within 2 * (tol * k* + 1e-11) of the minimum (tol is relative, with a
+    1e-11 absolute floor), and accepted only when the refined |M22| is at or
     below the acceptance floor. Real potentials cannot host such zeros, so
     scanning them is expected to return an empty feature list.
     """
@@ -522,6 +422,8 @@ def find_unidirectional_points(
 ) -> ScanResult:
     """Locate zeros of |R_left| and |R_right| and classify them.
 
+    Grid local minima of |R_left|^2 and |R_right|^2 are refined and accepted
+    as in find_spectral_singularities.
     A zero of one reflection is unidirectional when the opposite reflection
     modulus exceeds 10*tol at the located k, bidirectional otherwise.
     Unidirectional features are upgraded to invisible_{left,right} when

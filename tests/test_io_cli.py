@@ -450,9 +450,17 @@ def test_scan_computes_its_grid_once_and_each_refine_k_once(tmp_path, capsys, mo
             calls.append((y0[n:2 * n] / y0[:n]).imag.tolist())
         return solve_ivp(fun, t_span, y0, **kwargs)
 
+    minima = []  # every bracket's grid minimum, as a grid k
+
+    def recording_minimize_scalar(p, brackets, *args):
+        minima.extend(triple[1] for _, triple in brackets)
+        return minimize_scalar(p, brackets, *args)
+
     stack_transfer, solve_ivp = kernels.stack_transfer, transfer.solve_ivp
+    minimize_scalar = scan.minimize_scalar
     monkeypatch.setattr(kernels, "stack_transfer", counting_kernel)
     monkeypatch.setattr(transfer, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(scan, "minimize_scalar", recording_minimize_scalar)
     f = tmp_path / "pot.json"
     f.write_text(json.dumps(spec))
     assert run_command(["scan", "--potential", str(f)] + argv) == 0
@@ -464,8 +472,12 @@ def test_scan_computes_its_grid_once_and_each_refine_k_once(tmp_path, capsys, mo
     assert refine_ks and len(set(refine_ks)) == len(refine_ks)
     if "ode" not in argv:  # a stack round solves all its pending k in one call
         assert len(refines) < len(set(refine_ks))
-        # and the bracket points are the grid's own rows, bit for bit the single-k ones
+        # and the grid minima are the grid's own rows, bit for bit the single-k ones
         assert not set(refine_ks) & set(first)
+    else:  # the ODE solves each grid minimum single-k, and never a bracket end
+        assert minima
+        at_minima = {int(np.argmin(np.abs(np.array(first) - b))) for b in minima}
+        assert {first.index(k) for k in refine_ks if k in first} == at_minima
 
 
 def test_scan_fails_when_a_refine_solve_fails(tmp_path, capsys, monkeypatch, fail_ode_systems):

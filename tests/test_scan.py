@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+from scipy.optimize._optimize import Brent
 
 from ptscatter import (
     Feature,
@@ -139,6 +139,13 @@ def test_singularity_scan_validates_range():
         find_spectral_singularities(barrier(), 2.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         find_spectral_singularities(barrier(), 0.5, 2.0, 0.0)
+    # an infinite k_max would size the grid as int(inf); an infinite step leaves one k
+    with pytest.raises(ValueError, match="finite"):
+        find_spectral_singularities(pt_stack4(), 0.3, np.inf, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        find_spectral_singularities(pt_stack4(), 0.3, 3.0, np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        find_unidirectional_points(pt_stack4(), 0.3, 3.0, np.inf)
 
 
 def test_unidirectional_scan_stack4_left_zero():
@@ -287,7 +294,7 @@ def test_moduli_of_nan_entries_do_not_raise():
     assert transfer.abs2(1e200 + 0j) == np.inf
 
 
-# --- the ported minimizers against scipy.optimize.minimize_scalar --------------
+# --- the ported Brent against scipy's Brent.optimize core ----------------------
 
 def _drive(minimizer, f):
     """Run a minimizer generator on f; its return value and the x it asked for, in order."""
@@ -314,28 +321,37 @@ def _same(x, y) -> bool:
     return np.float64(x).tobytes() == np.float64(y).tobytes()
 
 
+class GridMinimumBrent(Brent):
+    """scipy's Brent.optimize core, unchanged, from a bracket whose ends are not evaluated.
+
+    get_bracket_info keeps the 3-point order check and evaluates f only at xb;
+    the core never reads f(xa) or f(xc).
+    """
+
+    def get_bracket_info(self):
+        xa, xb, xc = self.brack
+        if xa > xc:
+            xc, xa = xa, xc
+        if not ((xa < xb) and (xb < xc)):
+            raise ValueError("bracket (xa, xb, xc) needs xa < xb < xc")
+        return xa, xb, xc, None, self.func(*((xb,) + self.args)), None, 1
+
+
+def _scipy_brent(f, bracket, xtol) -> GridMinimumBrent:
+    ref = GridMinimumBrent(f, tol=xtol, maxiter=500)
+    ref.set_bracket(bracket)
+    ref.optimize()
+    return ref
+
+
 def _assert_brent_matches_scipy(f, bracket, xtol):
+    """The port's x bits, nfev and asked x sequence are scipy's Brent core's; returns x."""
     g, scipy_asked = _recorded(f)
-    try:
-        want = scipy_minimize_scalar(g, bracket=bracket, method="brent",
-                                     options={"xtol": xtol, "maxiter": 500})
-    except ValueError:
-        with pytest.raises(ValueError):
-            _drive(scan.brent(*bracket, xtol), f)
-        return False
+    want = _scipy_brent(g, bracket, xtol)
     (x, nfev), asked = _drive(scan.brent(*bracket, xtol), f)
-    assert _same(x, want.x) and nfev == want.nfev == len(asked)
+    assert _same(x, want.xmin) and nfev == want.funcalls == len(asked)
     assert all(map(_same, asked, scipy_asked)) and len(asked) == len(scipy_asked)
-    return True
-
-
-def _assert_bounded_matches_scipy(f, a, c, xatol):
-    g, scipy_asked = _recorded(f)
-    want = scipy_minimize_scalar(g, bounds=(a, c), method="bounded",
-                                 options={"xatol": xatol, "maxiter": 500})
-    (x, nfev), asked = _drive(scan.bounded(a, c, xatol), f)
-    assert _same(x, want.x) and nfev == want.nfev == len(asked)
-    assert all(map(_same, asked, scipy_asked)) and len(asked) == len(scipy_asked)
+    return x
 
 
 smooth = st.tuples(st.floats(-3, 3), st.floats(0, 2), st.floats(0.1, 20), st.floats(0, 6))
@@ -343,63 +359,111 @@ smooth = st.tuples(st.floats(-3, 3), st.floats(0, 2), st.floats(0.1, 20), st.flo
 
 @given(smooth, st.floats(-3, 3), st.floats(1e-3, 4), st.sampled_from([1e-12, 1e-10, 1.48e-8, 1e-4]))
 @settings(max_examples=150, deadline=None)
-def test_brent_and_bounded_match_scipy_bit_for_bit(shape, a, width, xtol):
+def test_brent_matches_scipy_core_bit_for_bit(shape, a, width, xtol):
     x0, amp, freq, phase = shape
 
     def f(x):
         return (x - x0) ** 2 + amp * np.sin(freq * x + phase)
 
-    # b is the lowest of 7 interior points, as a grid minimum is, so most brackets are valid
+    # b is the lowest of 7 interior points, as a grid minimum is; the ends may lie lower
     c = a + width
     inner = np.linspace(a, c, 9)[1:-1].tolist()
     b = min(inner, key=f)
     _assert_brent_matches_scipy(f, (a, b, c), xtol)
-    _assert_bounded_matches_scipy(f, a, c, xtol)
 
 
-def test_brent_rejects_tied_brackets_as_scipy_does():
+def test_brent_rejects_unordered_brackets_as_scipy_does():
+    for bracket in [(0.0, 2.0, 1.0), (0.0, 0.0, 1.0), (1.0, 1.0, 1.0)]:
+        with pytest.raises(ValueError):
+            _scipy_brent(abs, bracket, 1e-10)
+        with pytest.raises(ValueError):
+            _drive(scan.brent(*bracket, 1e-10), abs)
+
+
+def test_brent_refines_tied_brackets():
     def parabola(x):
         return (x - 1.0) ** 2
 
-    # f(b) == f(c): scipy's bracket check is strict, so both reject, and bounded agrees
-    assert not _assert_brent_matches_scipy(parabola, (-1.0, 0.5, 1.5), 1e-10)
-    _assert_bounded_matches_scipy(parabola, -1.0, 1.5, 1e-10)
-    assert _assert_brent_matches_scipy(parabola, (-1.0, 0.75, 1.5), 1e-10)
+    # f(b) == f(c): scipy's full 3-point check would refuse this bracket; its core and the
+    # port, which never read f(c), refine it like any other
+    assert parabola(0.5) == parabola(1.5)
+    for bracket in [(-1.0, 0.5, 1.5), (-1.0, 0.75, 1.5)]:
+        assert abs(_assert_brent_matches_scipy(parabola, bracket, 1e-10) - 1.0) <= 1e-8
 
 
 @pytest.mark.parametrize("band", [(-np.inf, np.inf), (0.3, 0.45), (1.0, 1.5), (1.9, 2.1)],
                          ids=["everywhere", "left-of-b", "right-of-b", "at-c"])
 def test_nan_objective_matches_scipy(band):
-    # NaN on an open band of x: the first rejects the bracket, the middle two are read
-    # inside Brent's iteration, the last at the bracket end
+    # NaN on an open band of x: the first at b itself, the middle two read inside Brent's
+    # iteration, the last around c, which is never read
     def f(x):
         return np.nan if band[0] < x < band[1] else (x - 0.5) ** 2
 
     _assert_brent_matches_scipy(f, (0.0, 0.6, 2.0), 1e-10)
-    _assert_bounded_matches_scipy(f, 0.0, 2.0, 1e-10)
 
 
-def test_locate_refines_a_tied_grid_minimum_by_bounded(monkeypatch):
+def test_locate_refines_a_tied_grid_minimum_by_brent(monkeypatch):
     # |R_left| - 0.05, floored at 0, is a flat zero around pt-stack4's reflection zero: the
-    # grid minimum's right neighbour ties, Brent rejects that bracket, and bounded on
-    # [a, c] gives k* exactly as scipy's bounded method does
+    # grid minimum's right neighbour ties, and Brent from the grid minimum gives k* exactly
+    # as scipy's Brent core does
     def flattened(m11, m12, m21, m22):
         return np.maximum(transfer.modulus(-m21 / m22) - 0.05, 0.0)
 
     monkeypatch.setitem(scan._OBJECTIVES, REFLECTIONLESS_LEFT, flattened)
-    bounded, runs = scan.bounded, []
+    brent, runs = scan.brent, []
 
-    def recording(a, c, xatol):
-        runs.append((a, c))
-        return bounded(a, c, xatol)
+    def recording(xa, xb, xc, xtol):
+        runs.append((xa, xb, xc))
+        return brent(xa, xb, xc, xtol)
 
-    monkeypatch.setattr(scan, "bounded", recording)
+    monkeypatch.setattr(scan, "brent", recording)
     p, tol = pt_stack4(), 1e-10
+
+    def objective(k):
+        return transfer.abs2(scan._residual(REFLECTIONLESS_LEFT, compute_transfer(p, k)))
+
     res = scan._locate(p, 2.0, 2.5, 0.01, (REFLECTIONLESS_LEFT,), tol, "auto", 1e-9)
     assert len(runs) == 1 and len(res.features) == 1
+    a, b, c = runs[0]
+    assert objective(b) == objective(c) == 0.0
     f = res.features[0]
-    assert f.bracket == runs[0] and f.residual == 0.0
-    want = scipy_minimize_scalar(
-        lambda k: transfer.abs2(scan._residual(REFLECTIONLESS_LEFT, compute_transfer(p, k))),
-        bounds=runs[0], method="bounded", options={"xatol": tol, "maxiter": 500})
-    assert f.k_star == want.x
+    assert f.bracket == (a, c) and f.residual == 0.0
+    assert f.k_star == _scipy_brent(objective, runs[0], tol).xmin
+
+
+# perfbench's 13-point sampled PT bump: reflection zeros near k = 3.4 and 3.9
+SAMPLED_BUMP = SampledPotential(
+    tuple(np.linspace(-3.0, 3.0, 13).tolist()),
+    tuple(complex(np.exp(-x * x), 0.3 * x * np.exp(-x * x)) for x in np.linspace(-3.0, 3.0, 13)))
+
+
+def _grid_brackets(p, ks, backend):
+    """(kind, grid bracket) at each grid minimum of the three refined kinds, as in _locate."""
+    mats = scan._grid_matrices(p, ks, backend, transfer.DEFAULT_ODE_TOL)
+    return [(kind, tuple(ks[i - 1:i + 2].tolist()))
+            for kind in (SPECTRAL_SINGULARITY, REFLECTIONLESS_LEFT, REFLECTIONLESS_RIGHT)
+            for i in scan._local_minima(scan._grid_objective(mats, kind)).tolist()]
+
+
+def _assert_lockstep_refines_as_alone(p, brackets, backend, xtol):
+    # outside shared_work() every minimize_scalar call solves its own k
+    ode_tol = transfer.DEFAULT_ODE_TOL
+    together = scan.minimize_scalar(p, brackets, backend, ode_tol, xtol, ())
+    alone = [scan.minimize_scalar(p, [b], backend, ode_tol, xtol, ()) for b in brackets]
+    assert all(map(_same, together.x, [r.x[0] for r in alone]))
+    assert together.nfev == sum(r.nfev for r in alone)
+
+
+@given(st.integers(20, 400), st.sampled_from([1e-12, 1e-10, 1e-6, 1e-2]))
+@settings(max_examples=20, deadline=None)
+def test_lockstep_refinement_is_each_bracket_refined_alone_on_the_stack(n, xtol):
+    p = pt_stack4()
+    brackets = _grid_brackets(p, np.linspace(0.3, 5.0, n), "stack")
+    assert len(brackets) > 1
+    _assert_lockstep_refines_as_alone(p, brackets, "stack", xtol)
+
+
+def test_lockstep_refinement_is_each_bracket_refined_alone_on_the_ode():
+    brackets = _grid_brackets(SAMPLED_BUMP, np.linspace(3.0, 4.2, 13), "ode")
+    assert len(brackets) == 3
+    _assert_lockstep_refines_as_alone(SAMPLED_BUMP, brackets, "ode", 1e-10)

@@ -70,7 +70,9 @@ SAMPLED_SPIKE = {"samples": [{"x": x, "re": v} for x, v in
 # Scarf II round its n = 1 spectral singularity k* = sqrt(6.5) / 2, and a gaussian
 # (the other analytic family); the ODE scans of the sampled profile, of Scarf II and of
 # the gaussian refine grid minima, and a Scarf II verify at ode_tol 1e-13 rejects steps
-# (its +-0.1 system rejects 4; a k array from 0.1 to 3 rejects none)
+# (its +-0.1 system rejects 4; a k array from 0.1 to 3 rejects none); last, pt-stack4
+# scans at a fine and a coarse refinement tolerance (at 1e-2 its R_left zero is refined
+# to a k whose |R_left| misses the acceptance floor, and the table is empty)
 EXTRAS = (
     ("opaque-slab", {"layers": [{"re": 10000, "width": 10}], "x0": -5}, (
         ["sweep", "--backend", "stack", "--format", "csv", "--k-range", "0.3:3.0:60"],
@@ -114,6 +116,10 @@ EXTRAS = (
         ["sweep", "--format", "json", "--k-range", SPARSE_SWEEP],
         ["verify", "--format", "json", "--k-range", SPARSE_VERIFY],
         ["scan", "--backend", "ode", "--k-range", GAUSSIAN_SCAN],
+    )),
+    ("pt-stack4", {"family": "pt-stack4"}, (
+        ["scan", "--tol", "1e-12", "--k-range", DENSE_SCAN],
+        ["scan", "--tol", "1e-2", "--k-range", DENSE_SCAN],
     )),
 )
 
