@@ -19,7 +19,8 @@ from .identities import identity_report, worst_residual
 from .potentials import PotentialError, parse_potential_spec
 from .scan import (DEFAULT_REFINE_TOL, ScanResult, SweepResult, _residual,
                    find_spectral_singularities, find_unidirectional_points, shared_work, sweep)
-from .transfer import ODE, STACK, BackendError, ConvergenceError, compute_transfer, resolve_backend
+from .transfer import (DEFAULT_ODE_TOL, ODE, BackendError, ConvergenceError, compute_transfer,
+                       resolve_backend)
 
 TOL_ENV_VAR = "PTSCATTER_TOL"
 DEFAULT_VERIFY_TOL = 1e-8
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--k-range", type=_parse_k_range, metavar="MIN:MAX:COUNT")
         sp.add_argument("--backend", choices=("auto", "stack", "ode", "both"),
                         default="auto")
-        sp.add_argument("--ode-tol", type=_tolerance, default=1e-10,
+        sp.add_argument("--ode-tol", type=_tolerance, default=DEFAULT_ODE_TOL,
                         help="local error tolerance of the ODE backend")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", metavar="PATH", default=None,
@@ -120,14 +121,17 @@ def _write(text: str, out_path):
             fh.write(text)
 
 
+def _backends(p, requested: str) -> tuple[str, str]:
+    """The primary and the cross-check backend: 'both' crosses p's auto backend with ode."""
+    if requested == "both":
+        return resolve_backend(p, "auto"), ODE
+    return requested, requested
+
+
 def _cmd_sweep(args) -> int:
     p = _load_potential(args.potential)
-    if args.backend == "both":
-        backends = dict.fromkeys((resolve_backend(p, "auto"), ODE))
-    else:
-        backends = [args.backend]
     rows, errors = [], []
-    for backend in backends:
+    for backend in dict.fromkeys(_backends(p, args.backend)):
         res = sweep(p, args.k_range, backend=backend, ode_tol=args.ode_tol)
         rows.extend(res.rows)
         errors.extend(res.errors)
@@ -140,13 +144,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _verify_backends(p, requested: str) -> tuple[str, str]:
-    """Backends for the +k and -k runs. 'both' crosses stack with ode."""
-    if requested == "both":
-        return resolve_backend(p, "auto"), ODE
-    return requested, requested
-
-
 def _cmd_verify(args) -> int:
     p = _load_potential(args.potential)
     tol = args.tol if args.tol is not None else _default_tol()
@@ -155,7 +152,7 @@ def _cmd_verify(args) -> int:
         raise ValueError("verify requires a finite k")
     if np.any(ks <= 0):
         raise ValueError("verify requires k > 0")
-    backend_k, backend_negk = _verify_backends(p, args.backend)
+    backend_k, backend_negk = _backends(p, args.backend)
     reports = identity_report(p, ks, ode_tol=args.ode_tol,
                               backend=backend_k, backend_negk=backend_negk)
     if args.format == "json":
@@ -181,7 +178,7 @@ def _cmd_scan(args) -> int:
     ks = args.k_range
     k_min, k_max = float(ks[0]), float(ks[-1])
     grid_step = float(ks[1] - ks[0])
-    backend = "auto" if args.backend == "both" else args.backend
+    backend, check = _backends(p, args.backend)
     with shared_work():  # one grid and one solve per refine k for both finders
         res_ss = find_spectral_singularities(p, k_min, k_max, grid_step, tol=args.tol,
                                              backend=backend, ode_tol=args.ode_tol)
@@ -191,25 +188,19 @@ def _cmd_scan(args) -> int:
         tuple(sorted(res_ss.features + res_ur.features, key=lambda f: f.k_star)),
         k_min, k_max, grid_step,
     )
-    if args.backend == "both":
-        merged = _cross_check_features(p, merged, args.ode_tol)
+    if check != backend:
+        merged = _cross_check_features(p, merged, check, args.ode_tol)
     text = tables.scan_to_csv(merged) if args.format == "csv" else tables.scan_to_json(merged)
     _write(text, args.out)
     return 0
 
 
-def _cross_check_features(p, res, ode_tol):
-    """Annotate each feature with the ODE backend's value of its residual.
-
-    Only meaningful for layer potentials (where the primary run used the
-    stack backend); other kinds are returned unchanged.
-    """
-    if resolve_backend(p, "auto") != STACK:
-        return res
+def _cross_check_features(p, res, backend, ode_tol):
+    """Annotate each feature with the cross-check backend's value of its residual."""
     out = []
     for f in res.features:
-        val = _residual(f.kind, compute_transfer(p, f.k_star, ODE, ode_tol))
-        note = (f.note + "; " if f.note else "") + f"cross-backend({ODE}) residual = {val:.3e}"
+        val = _residual(f.kind, compute_transfer(p, f.k_star, backend, ode_tol))
+        note = (f.note + "; " if f.note else "") + f"cross-backend({backend}) residual = {val:.3e}"
         out.append(replace(f, note=note))
     return replace(res, features=tuple(out))
 

@@ -309,8 +309,6 @@ def identity_report(
     ks = np.asarray(k, dtype=float)
     if ks.ndim > 1:
         raise ValueError("k must be a number or a 1-D array")
-    if np.any(ks == 0):
-        raise ValueError("k = 0: zero-energy scattering is excluded")
     sym = classify_symmetry(p)
     flat = ks.reshape(-1)
     backend_negk = backend_negk or backend

@@ -306,6 +306,27 @@ def _breakpoints(p: Potential) -> np.ndarray:
     return np.array(p.support_interval())
 
 
+def _entries(doc: dict, mode: str, key: str, name: str) -> tuple[tuple, tuple[complex, ...]]:
+    """Each entry's key field, as given, and its "re" + i "im" (0 when absent), from doc[mode].
+
+    The constructors convert and check the key fields, naming the entry as
+    "<name> <index>" on a malformed one; so does a malformed re or im here.
+    """
+    entries = doc[mode]
+    if not isinstance(entries, list):
+        raise PotentialError(f"'{mode}' must be a list")
+    fields, values = [], []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or key not in entry:
+            raise PotentialError(f"{name} {i}: expected an object with field '{key}'")
+        fields.append(entry[key])
+        try:
+            values.append(complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0))))
+        except (TypeError, ValueError) as exc:
+            raise PotentialError(f"{name} {i}: malformed number: {exc}") from exc
+    return tuple(fields), tuple(values)
+
+
 def parse_potential_spec(text: str) -> Potential:
     """Parse the JSON potential format (see the format reference in the README).
 
@@ -327,32 +348,13 @@ def parse_potential_spec(text: str) -> Potential:
         )
     mode = keys[0]
     if mode == "layers":
-        layers = doc["layers"]
-        if not isinstance(layers, list):
-            raise PotentialError("'layers' must be a list")
-        values, widths = [], []
-        for i, layer in enumerate(layers):
-            if not isinstance(layer, dict) or "width" not in layer:
-                raise PotentialError(f"layer {i}: expected an object with a 'width' field")
-            try:
-                values.append(complex(float(layer.get("re", 0.0)), float(layer.get("im", 0.0))))
-                widths.append(float(layer["width"]))
-            except (TypeError, ValueError) as exc:
-                raise PotentialError(f"layer {i}: malformed number: {exc}") from exc
+        widths, values = _entries(doc, mode, "width", "layer")
         x0 = doc.get("x0", 0.0)
         if not isinstance(x0, (int, float)):
             raise PotentialError("'x0' must be a number")
-        return LayerPotential(tuple(values), tuple(widths), float(x0))
+        return LayerPotential(values, widths, x0)
     if mode == "samples":
-        samples = doc["samples"]
-        if not isinstance(samples, list):
-            raise PotentialError("'samples' must be a list")
-        try:
-            xs = tuple(float(s["x"]) for s in samples)
-            vs = tuple(complex(float(s.get("re", 0.0)), float(s.get("im", 0.0))) for s in samples)
-        except (TypeError, KeyError) as exc:
-            raise PotentialError(f"malformed sample entry: {exc}") from exc
-        return SampledPotential(xs, vs)
+        return SampledPotential(*_entries(doc, mode, "x", "sample"))
     family = doc["family"]
     params = doc.get("params", {})
     if not isinstance(params, dict):

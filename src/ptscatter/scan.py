@@ -166,7 +166,14 @@ def _grid_objective(mats: np.ndarray, kind) -> np.ndarray:
 
 
 def _local_minima(values: np.ndarray) -> np.ndarray:
-    interior = (values[1:-1] < values[:-2]) & (values[1:-1] <= values[2:])
+    """Grid indices of the candidates: the interior minima of a squared objective.
+
+    A minimum whose two neighbours are both below the squared acceptance floor
+    is noise on a stretch already zero to within the floor, and is skipped.
+    """
+    low = values < ACCEPTANCE_FLOOR ** 2
+    interior = ((values[1:-1] < values[:-2]) & (values[1:-1] <= values[2:])
+                & ~(low[:-2] & low[2:]))
     return np.nonzero(interior)[0] + 1
 
 
@@ -357,10 +364,7 @@ def _locate(p, k_min, k_max, grid_step, kinds, tol, backend, ode_tol) -> ScanRes
     mats = _grid_matrices(p, ks, backend, ode_tol)
     brackets, at = [], []  # at: the grid index of every bracket's minimum
     for kind in kinds:
-        values = _grid_objective(mats, kind)
-        if np.all(np.sqrt(values) < ACCEPTANCE_FLOOR):
-            continue
-        minima = _local_minima(values).tolist()
+        minima = _local_minima(_grid_objective(mats, kind)).tolist()
         brackets += [(kind, tuple(ks[i - 1:i + 2].tolist())) for i in minima]
         at += minima
     # stack grid rows are bit for bit single-k rows; an ODE grid row, from one batched

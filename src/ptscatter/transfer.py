@@ -26,7 +26,7 @@ from .dop853 import solve_ivp
 from .potentials import LayerPotential, Potential, _breakpoints
 
 SINGULARITY_FLOOR = 1e-12
-DEFAULT_ODE_TOL = 1e-9
+DEFAULT_ODE_TOL = 1e-10
 
 STACK = "stack"
 ODE = "ode"

@@ -282,6 +282,14 @@ def test_report_rejects_zero_k():
         identity_report(barrier(), 0.0)
 
 
+@pytest.mark.parametrize("k", [0.0, [1.0, 0.0]], ids=["scalar", "array"])
+@pytest.mark.parametrize("backend,backend_negk", [("stack", None), ("ode", None), ("stack", "ode")])
+def test_report_zero_k_is_refused_by_the_backends(k, backend, backend_negk):
+    # identity_report has no k = 0 check of its own: transfer_matrices refuses it
+    with pytest.raises(ValueError, match="^k = 0: zero-energy scattering is excluded$"):
+        identity_report(barrier(), k, backend=backend, backend_negk=backend_negk)
+
+
 def test_report_backend_choice_does_not_change_residuals():
     pot = pt_bilayer(gamma=0.5)
     r_ss = identity_report(pot, 1.0, backend="stack")

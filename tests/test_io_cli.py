@@ -16,7 +16,7 @@ from ptscatter import (
 from ptscatter import identities, kernels, scan, transfer
 from ptscatter import io as tables
 from ptscatter.catalog import barrier, free, onesided, pt_bilayer, pt_stack4
-from ptscatter.cli import run_command
+from ptscatter.cli import build_parser, run_command
 from ptscatter.identities import GEN_UNITARITY_L, NEGK_AMPLITUDES, RECIPROCITY_GEN
 from ptscatter.potentials import PotentialError, parse_potential_spec
 from ptscatter.scan import ScanResult, SweepResult
@@ -325,6 +325,22 @@ def test_malformed_layer_field_exits_two(tmp_path, capsys):
     assert "layer 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ['{"samples":[{"x":"abc"},{"x":1}]}',
+                                  '{"samples":[{"x":0,"re":"abc"},{"x":1}]}'],
+                         ids=["x", "re"])
+def test_malformed_sample_field_exits_two(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run_command(["verify", "--potential", str(bad), "--k", "1.0"]) == 2
+    assert "sample 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify", "scan"])
+def test_ode_tol_default_is_the_library_default(command):
+    args = build_parser().parse_args([command, "--potential", "p.json", "--k-range", "1:2:3"])
+    assert args.ode_tol == transfer.DEFAULT_ODE_TOL == 1e-10
+
+
 def test_nonfinite_sample_value_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"samples":[{"x":-1,"re":0},{"x":0,"re":NaN},{"x":1,"re":0}]}')
@@ -420,6 +436,16 @@ def test_scan_backend_both_note_is_ode_residual(tmp_path, capsys, spec, k_range,
     for f in features:
         expected = f"cross-backend(ode) residual = {_ode_residual(pot, f.kind, f.k_star):.3e}"
         assert f.note.endswith(expected), (f.kind, f.note, expected)
+
+
+def test_scan_reports_no_feature_on_a_stretch_below_the_floor(tmp_path, capsys):
+    # the gaussian's |R| is below the acceptance floor from k = 7.5 on; the ODE's
+    # rounding noise there has grid minima, and none of them is refined
+    f = tmp_path / "gaussian.json"
+    f.write_text(json.dumps({"family": "gaussian", "params": {"height": 1.3, "width": 0.7}}))
+    assert run_command(["scan", "--potential", str(f), "--backend", "ode",
+                        "--k-range", "0.3:12.0:40"]) == 0
+    assert capsys.readouterr().out == ",".join(tables.SCAN_COLUMNS) + "\n"
 
 
 # perfbench's 13-point sampled PT bump: reflection zeros near k = 3.4 and 3.9

@@ -167,6 +167,9 @@ def test_parse_samples_document():
     ('{"layers":[{"re":null,"width":1}]}', "layer 0"),
     ('{"layers":[{"re":1,"width":null}]}', "layer 0"),
     ('{"layers":[{"re":1,"width":[1]}]}', "layer 0"),
+    ('{"samples":[{"x":"abc"},{"x":1}]}', "sample 0: malformed number"),
+    ('{"samples":[{"x":0,"re":"abc"},{"x":1}]}', "sample 0: malformed number"),
+    ('{"samples":[{"x":0},{"re":1}]}', "sample 1: expected an object"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(PotentialError, match=fragment):

@@ -184,6 +184,21 @@ def test_free_potential_reports_no_isolated_features():
     assert res.features == ()
 
 
+def test_local_minima_skips_a_minimum_on_a_stretch_below_the_floor():
+    # noise on a stretch whose squared objective is already below the squared floor
+    # has grid minima, and none of them is a candidate
+    shape = np.array([1.0, 0.5, 0.1, 0.3, 0.2, 0.6, 1.0])
+    assert scan._local_minima(shape).tolist() == [2, 4]
+    plateau = np.where(shape < 1.0, shape * scan.ACCEPTANCE_FLOOR ** 2, shape)
+    assert scan._local_minima(plateau).tolist() == []
+
+
+@pytest.mark.parametrize("values", [(1.0, 0.5, 0.1, 2.0, 1.0), (1.0, 2.0, 0.1, 0.5, 1.0)],
+                         ids=["right-above", "left-above"])
+def test_local_minima_keeps_a_minimum_with_one_neighbour_above_the_floor(values):
+    assert scan._local_minima(np.array(values) * scan.ACCEPTANCE_FLOOR ** 2).tolist() == [2]
+
+
 def test_feature_lists_stable_under_grid_refinement():
     tol = 1e-10
     r1 = find_unidirectional_points(pt_stack4(), 0.3, 3.0, 0.01, tol=tol)

@@ -50,7 +50,8 @@ DENSE_SCAN, SPARSE_SCAN = "0.3:3.0:271", "0.3:3.0:10"
 ODE_ONLY = "scarf2-pt"  # the one analytic profile: every run integrates the ODE
 GAMMA_STAR, K_STAR = 2.071737124880286, "1.064682550561970"  # a pt-bilayer singularity
 PT2L_SCAN = "0.8957570661443863:3.3957570661443865:2000"
-# the gaussian's |R| falls below the ODE's noise past k = 10: a grid minimum there is refined
+# the gaussian's |R| is below the acceptance floor from k = 7.5 on, and the ODE's noise there
+# has grid minima; none is a candidate, so the run pins an empty table
 GAUSSIAN_SCAN = "0.3:12.0:40"
 
 # perfbench's 13-point sampled PT bump (SMALL_R_SPEC in perfbench/workloads.py)
@@ -68,8 +69,9 @@ SAMPLED_SPIKE = {"samples": [{"x": x, "re": v} for x, v in
 # a two-layer PT stack whose bidirectional zeros have unequal |R_left| and |R_right|,
 # a sampled profile, two spikes narrower than any fixed classification grid,
 # Scarf II round its n = 1 spectral singularity k* = sqrt(6.5) / 2, and a gaussian
-# (the other analytic family); the ODE scans of the sampled profile, of Scarf II and of
-# the gaussian refine grid minima, and a Scarf II verify at ode_tol 1e-13 rejects steps
+# (the other analytic family); the ODE scans of the sampled profile and of Scarf II refine
+# grid minima, a Scarf II `scan --backend both` is its auto scan (no cross-check note off
+# the stack), and a Scarf II verify at ode_tol 1e-13 rejects steps
 # (its +-0.1 system rejects 4; a k array from 0.1 to 3 rejects none); last, pt-stack4
 # scans at a fine and a coarse refinement tolerance (at 1e-2 its R_left zero is refined
 # to a k whose |R_left| misses the acceptance floor, and the table is empty)
@@ -111,6 +113,7 @@ EXTRAS = (
     ("scarf2-singular", {"family": "scarf2", "params": {"v1": 1, "v2": 7.75}}, (
         ["scan", "--k-range", "1.0:1.6:61"],
         ["verify", "--backend", "ode", "--ode-tol", "1e-13", "--k", "0.1"],
+        ["scan", "--backend", "both", "--k-range", "1.0:1.6:61"],
     )),
     ("gaussian", {"family": "gaussian", "params": {"height": 1.3, "width": 0.7}}, (
         ["sweep", "--format", "json", "--k-range", SPARSE_SWEEP],
