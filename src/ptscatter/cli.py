@@ -26,8 +26,8 @@ TOL_ENV_VAR = "PTSCATTER_TOL"
 DEFAULT_VERIFY_TOL = 1e-8
 
 
-def _tolerance(text: str) -> float:
-    """A tolerance argument: a finite number > 0."""
+def _positive(text: str) -> float:
+    """A tolerance or wavenumber argument: a finite number > 0."""
     try:
         value = float(text)
     except ValueError:
@@ -41,7 +41,7 @@ def _default_tol() -> float:
     raw = os.environ.get(TOL_ENV_VAR)
     if raw:
         try:
-            return _tolerance(raw)
+            return _positive(raw)
         except argparse.ArgumentTypeError as exc:
             print(f"warning: ignoring {TOL_ENV_VAR}={raw!r}: {exc}", file=sys.stderr)
     return DEFAULT_VERIFY_TOL
@@ -77,11 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="MIN:MAX:COUNT")
         else:
             group = sp.add_mutually_exclusive_group(required=True)
-            group.add_argument("--k", type=float, metavar="V", help="single wavenumber")
+            group.add_argument("--k", type=_positive, metavar="V", help="single wavenumber")
             group.add_argument("--k-range", type=_parse_k_range, metavar="MIN:MAX:COUNT")
         sp.add_argument("--backend", choices=("auto", "stack", "ode", "both"),
                         default="auto")
-        sp.add_argument("--ode-tol", type=_tolerance, default=DEFAULT_ODE_TOL,
+        sp.add_argument("--ode-tol", type=_positive, default=DEFAULT_ODE_TOL,
                         help="local error tolerance of the ODE backend")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", metavar="PATH", default=None,
@@ -92,14 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="evaluate the identity catalog; exit 1 on failure")
     common(sp, needs_range=False)
-    sp.add_argument("--tol", type=_tolerance, default=None,
+    sp.add_argument("--tol", type=_positive, default=None,
                     help=f"residual tolerance (default {DEFAULT_VERIFY_TOL}, or ${TOL_ENV_VAR})")
     sp.add_argument("--long", action="store_true",
                     help="CSV output as one row per (k, identity) instead of wide columns")
 
     sp = sub.add_parser("scan", help="locate singular/reflectionless/invisible points")
     common(sp, needs_range=True)
-    sp.add_argument("--tol", type=_tolerance, default=DEFAULT_REFINE_TOL,
+    sp.add_argument("--tol", type=_positive, default=DEFAULT_REFINE_TOL,
                     help=f"refinement tolerance (default {DEFAULT_REFINE_TOL})")
 
     return parser
@@ -148,10 +148,6 @@ def _cmd_verify(args) -> int:
     p = _load_potential(args.potential)
     tol = args.tol if args.tol is not None else _default_tol()
     ks = args.k_range if args.k_range is not None else np.array([args.k])
-    if not np.all(np.isfinite(ks)):
-        raise ValueError("verify requires a finite k")
-    if np.any(ks <= 0):
-        raise ValueError("verify requires k > 0")
     backend_k, backend_negk = _backends(p, args.backend)
     reports = identity_report(p, ks, ode_tol=args.ode_tol,
                               backend=backend_k, backend_negk=backend_negk)

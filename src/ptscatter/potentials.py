@@ -306,11 +306,20 @@ def _breakpoints(p: Potential) -> np.ndarray:
     return np.array(p.support_interval())
 
 
-def _entries(doc: dict, mode: str, key: str, name: str) -> tuple[tuple, tuple[complex, ...]]:
-    """Each entry's key field, as given, and its "re" + i "im" (0 when absent), from doc[mode].
+def _number(value, where: str) -> float:
+    """A spec number, as a float: a JSON int or float, never a string or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise PotentialError(f"{where}: malformed number: expected a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise PotentialError(f"{where}: malformed number: {exc}") from exc
 
-    The constructors convert and check the key fields, naming the entry as
-    "<name> <index>" on a malformed one; so does a malformed re or im here.
+
+def _entries(doc: dict, mode: str, key: str, name: str) -> tuple[tuple, tuple[complex, ...]]:
+    """Each entry's key field and its "re" + i "im" (0 when absent), from doc[mode].
+
+    A malformed number raises a PotentialError naming its entry "<name> <index>".
     """
     entries = doc[mode]
     if not isinstance(entries, list):
@@ -319,11 +328,10 @@ def _entries(doc: dict, mode: str, key: str, name: str) -> tuple[tuple, tuple[co
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or key not in entry:
             raise PotentialError(f"{name} {i}: expected an object with field '{key}'")
-        fields.append(entry[key])
-        try:
-            values.append(complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0))))
-        except (TypeError, ValueError) as exc:
-            raise PotentialError(f"{name} {i}: malformed number: {exc}") from exc
+        where = f"{name} {i}"
+        fields.append(_number(entry[key], where))
+        values.append(complex(_number(entry.get("re", 0.0), where),
+                              _number(entry.get("im", 0.0), where)))
     return tuple(fields), tuple(values)
 
 
@@ -349,21 +357,16 @@ def parse_potential_spec(text: str) -> Potential:
     mode = keys[0]
     if mode == "layers":
         widths, values = _entries(doc, mode, "width", "layer")
-        x0 = doc.get("x0", 0.0)
-        if not isinstance(x0, (int, float)):
-            raise PotentialError("'x0' must be a number")
-        return LayerPotential(values, widths, x0)
+        return LayerPotential(values, widths, _number(doc.get("x0", 0.0), "'x0'"))
     if mode == "samples":
         return SampledPotential(*_entries(doc, mode, "x", "sample"))
     family = doc["family"]
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise PotentialError("'params' must be an object")
+    params = {name: _number(value, f"param {name!r}") for name, value in params.items()}
     if family in ANALYTIC_FAMILIES:
-        try:
-            truncation = float(doc.get("truncation", DEFAULT_TRUNCATION))
-        except (TypeError, ValueError) as exc:
-            raise PotentialError(f"'truncation': malformed number: {exc}") from exc
+        truncation = _number(doc.get("truncation", DEFAULT_TRUNCATION), "'truncation'")
         return AnalyticPotential(family, params, truncation)
     # catalog names (layer builders) are accepted through the same syntax
     from .catalog import builtin_potential, builtin_potentials

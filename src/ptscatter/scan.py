@@ -72,7 +72,7 @@ class SweepResult:
 
 def sweep(p: Potential, k_grid, backend: str = "auto",
           ode_tol: float = DEFAULT_ODE_TOL) -> SweepResult:
-    """One ScatteringData per grid point; a k whose ODE solve failed gets an error row."""
+    """One ScatteringData per grid point; a k whose ODE solve failed gets an all-NaN row."""
     ks = np.asarray(k_grid, dtype=float)
     if ks.ndim != 1 or ks.size == 0:
         raise ValueError("k grid must be a nonempty 1D array")
@@ -91,7 +91,7 @@ def sweep(p: Potential, k_grid, backend: str = "auto",
         except ConvergenceError as exc:
             errors.append((k, str(exc)))
             nan = complex(float("nan"), float("nan"))
-            rows.append(ScatteringData(k, nan, nan, nan, nan, False, 0.0, backend))
+            rows.append(ScatteringData(k, nan, nan, nan, nan, False, nan.real, backend))
     return SweepResult(tuple(rows), tuple(errors))
 
 
@@ -334,14 +334,14 @@ def minimize_scalar(p, brackets, backend, ode_tol, xtol, known) -> Refinement:
     return Refinement(tuple(map(float, xs)), tuple(seen[x] for x in xs), nfev)
 
 
-def _classify(f: Feature, m: TransferMatrix, tol) -> Feature | None:
+def _classify(f: Feature, m: TransferMatrix) -> Feature | None:
     """A one-sided reflection zero as found, bidirectional, or invisible; None if not finite."""
     s = scattering_data(m)
     if not s.finite:
         return None
     opposite, invisible = _SIDES[f.kind]
     note, tau = f"|T-1| = {modulus(s.T - 1.0):.3e}", f", tau = {np.angle(s.T):.6f}"
-    if _residual(opposite, m) <= 10.0 * tol:
+    if _residual(opposite, m) <= ACCEPTANCE_FLOOR:
         return replace(f, kind=BIDIRECTIONAL_REFLECTIONLESS,
                        note=f"both reflections vanish; {note}{tau}")
     if check_invisibility(f, s):
@@ -378,15 +378,15 @@ def _locate(p, k_min, k_max, grid_step, kinds, tol, backend, ode_tol) -> ScanRes
         f = Feature(kind, k_star, 0.0, (a, c), boundary_warning=(
             k_star - k_min < grid_step or k_max - k_star < grid_step))
         if kind in _SIDES:
-            f = _classify(f, m, tol)
+            f = _classify(f, m)
         if f is not None:
             features.append(replace(f, residual=_residual(f.kind, m)))
     features.sort(key=lambda f: f.k_star)
-    # bidirectional records found from both sides within max(10*tol, 1e-9) count as one
+    # both sides' bidirectional records are one where their brackets overlap (sorted by k*)
     kept = features[:1]
     for f in features[1:]:
         if not (f.kind == kept[-1].kind == BIDIRECTIONAL_REFLECTIONLESS
-                and f.k_star - kept[-1].k_star <= max(10.0 * tol, 1e-9)):
+                and f.bracket[0] < kept[-1].bracket[1]):
             kept.append(f)
     return ScanResult(tuple(kept), k_min, k_max, grid_step)
 
@@ -428,8 +428,9 @@ def find_unidirectional_points(
 
     Grid local minima of |R_left|^2 and |R_right|^2 are refined and accepted
     as in find_spectral_singularities.
-    A zero of one reflection is unidirectional when the opposite reflection
-    modulus exceeds 10*tol at the located k, bidirectional otherwise.
+    A zero of one reflection is bidirectional, one record for both sides, when the
+    opposite reflection modulus is at or below ACCEPTANCE_FLOOR at the located k
+    too, and unidirectional otherwise.
     Unidirectional features are upgraded to invisible_{left,right} when
     additionally |T - 1| <= INVISIBILITY_TOL. A potential that is
     reflectionless on the entire grid (the free potential) has no isolated

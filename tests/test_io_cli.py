@@ -296,7 +296,9 @@ def test_cli_usage_errors_exit_two(pot_files, capsys, tmp_path):
     for spec in ('{"family":"gaussian","params":{"width":0}}',
                  '{"family":"scarf2","truncation":1e400}',
                  '{"family":"scarf2","truncation":null}',
-                 '{"family":"scarf2","truncation":[1]}'):
+                 '{"family":"scarf2","truncation":[1]}',
+                 # an integer too large for a float is a malformed number, not a traceback
+                 '{"layers":[{"re":1,"width":1%s}],"x0":-1}' % ("0" * 399)):
         bad.write_text(spec)
         assert run_command(["verify", "--potential", str(bad), "--k", "1.0"]) == 2
         capsys.readouterr()
@@ -306,6 +308,7 @@ def test_cli_usage_errors_exit_two(pot_files, capsys, tmp_path):
     for argv in (["sweep", "--k-range", "0.5:inf:3"], ["sweep", "--k-range", "0.5:1e400:3"],
                  ["scan", "--k-range", "0.5:inf:3"], ["verify", "--k-range", "0.5:inf:3"],
                  ["verify", "--k", "nan"], ["verify", "--k", "inf"],
+                 ["verify", "--k", "0"], ["verify", "--k", "-1"],
                  # a tolerance is a finite number > 0
                  ["verify", "--k", "1", "--tol", "nan"], ["verify", "--k", "1", "--tol", "-1"],
                  ["verify", "--k", "1", "--tol", "0"],
@@ -405,6 +408,35 @@ def test_bidirectional_residual_is_smaller_reflection(tmp_path, capsys):
     for f in bidirectional:
         s = scattering_data(compute_transfer(pot, f.k_star, "stack"))
         assert f.residual == min(abs(s.R_left), abs(s.R_right))
+
+
+@pytest.mark.parametrize("tol", ["1e-12", "1e-5"])
+def test_scan_kinds_do_not_depend_on_tol(tmp_path, capsys, tol):
+    # --tol only stops Brent: at 1e-12 the bidirectional zero at k = 0.971190 stays one
+    # record, and at 1e-5 the one-sided zeros at 2.588185 and 2.588872 stay one-sided
+    argv = ["--backend", "stack", "--k-range", PT2L_RANGE]
+    _, default = _scan_features(tmp_path, capsys, PT2L, argv)
+    _, features = _scan_features(tmp_path, capsys, PT2L, argv + ["--tol", tol])
+    assert features
+    for f in features:
+        assert [g.kind for g in default if abs(g.k_star - f.k_star) <= 1e-6] == [f.kind]
+
+
+def test_sweep_failed_rows_print_nan_condition(pot_files, capsys, fail_ode_systems):
+    # a failed solve has no condition number; 0 would read as a spectral singularity
+    fail_ode_systems([1.0])
+    argv = ["sweep", "--potential", pot_files["barrier"], "--backend", "ode",
+            "--k-range", "0.5:1.5:3"]
+    assert run_command(argv) == 0
+    out = capsys.readouterr()
+    header, *rows = out.out.splitlines()
+    col = header.split(",").index("condition")
+    assert [row.split(",")[col] == "nan" for row in rows] == [False, True, False]
+    assert "warning: k=1.0:" in out.err
+    assert run_command(argv + ["--format", "json"]) == 0
+    doc = capsys.readouterr().out
+    assert doc.count('"condition": NaN') == 1
+    assert [k for k, _ in json.loads(doc)["errors"]] == [1.0]
 
 
 def _ode_residual(pot, kind, k):

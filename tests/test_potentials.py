@@ -170,6 +170,14 @@ def test_parse_samples_document():
     ('{"samples":[{"x":"abc"},{"x":1}]}', "sample 0: malformed number"),
     ('{"samples":[{"x":0,"re":"abc"},{"x":1}]}', "sample 0: malformed number"),
     ('{"samples":[{"x":0},{"re":1}]}', "sample 1: expected an object"),
+    # a spec number is a JSON number: never a string or a boolean, and it fits a float
+    ('{"layers":[{"re":"2","width":1}]}', "layer 0: malformed number"),
+    ('{"layers":[{"re":1,"width":true}]}', "layer 0: malformed number"),
+    ('{"layers":[{"re":1,"width":1}],"x0":"-1"}', "'x0': malformed number"),
+    ('{"family":"pt-bilayer","params":{"gamma":true}}', "gamma.*: malformed number"),
+    ('{"family":"scarf2","truncation":"1e-10"}', "'truncation': malformed number"),
+    pytest.param('{"layers":[{"re":1,"width":1%s}]}' % ("0" * 399), "layer 0: malformed number",
+                 id="400-digit-width"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(PotentialError, match=fragment):

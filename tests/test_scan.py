@@ -75,6 +75,7 @@ def test_sweep_records_convergence_errors_per_row(fail_ode_systems):
     assert res.errors == ((0.7, "integration failed on [-1.0, 1.0] at k=0.7: step too small"),
                           (1.1, "integration failed on [-1.0, 1.0] at k=1.1: step too small"))
     assert not any(s.finite for s in res.rows)
+    assert all(np.isnan(s.condition) for s in res.rows)
 
 
 def test_sweep_error_rows_carry_resolved_backend(fail_ode_systems):

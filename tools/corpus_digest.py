@@ -66,7 +66,8 @@ SAMPLED_SPIKE = {"samples": [{"x": x, "re": v} for x, v in
 
 # name, spec, argv: a slab whose product overflows (NaN and inf rows),
 # pt-bilayer at a spectral singularity, each with multi-k verify batches,
-# a two-layer PT stack whose bidirectional zeros have unequal |R_left| and |R_right|,
+# a two-layer PT stack whose bidirectional zeros have unequal |R_left| and |R_right|
+# (also scanned at a fine and a coarse --tol, which must not change any zero's kind),
 # a sampled profile, two spikes narrower than any fixed classification grid,
 # Scarf II round its n = 1 spectral singularity k* = sqrt(6.5) / 2, and a gaussian
 # (the other analytic family); the ODE scans of the sampled profile and of Scarf II refine
@@ -74,7 +75,8 @@ SAMPLED_SPIKE = {"samples": [{"x": x, "re": v} for x, v in
 # the stack), and a Scarf II verify at ode_tol 1e-13 rejects steps
 # (its +-0.1 system rejects 4; a k array from 0.1 to 3 rejects none); last, pt-stack4
 # scans at a fine and a coarse refinement tolerance (at 1e-2 its R_left zero is refined
-# to a k whose |R_left| misses the acceptance floor, and the table is empty)
+# to a k whose |R_left| misses the acceptance floor, and the table is empty), and a layer
+# whose width is the JSON string "1", which is not a number
 EXTRAS = (
     ("opaque-slab", {"layers": [{"re": 10000, "width": 10}], "x0": -5}, (
         ["sweep", "--backend", "stack", "--format", "csv", "--k-range", "0.3:3.0:60"],
@@ -97,6 +99,8 @@ EXTRAS = (
         ["scan", "--backend", "stack", "--k-range", PT2L_SCAN],
         ["scan", "--backend", "stack", "--format", "json", "--k-range", PT2L_SCAN],
         ["scan", "--backend", "both", "--k-range", PT2L_SCAN],
+        ["scan", "--tol", "1e-12", "--k-range", PT2L_SCAN],
+        ["scan", "--tol", "1e-5", "--k-range", PT2L_SCAN],
     )),
     ("sampled-pt", SAMPLED_PT, (
         ["sweep", "--format", "json", "--k-range", "0.5:3.0:4"],
@@ -123,6 +127,9 @@ EXTRAS = (
     ("pt-stack4", {"family": "pt-stack4"}, (
         ["scan", "--tol", "1e-12", "--k-range", DENSE_SCAN],
         ["scan", "--tol", "1e-2", "--k-range", DENSE_SCAN],
+    )),
+    ("string-width", {"layers": [{"re": 2, "width": "1"}], "x0": -1}, (
+        ["verify", "--k", "1"],
     )),
 )
 
