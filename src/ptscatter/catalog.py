@@ -8,6 +8,7 @@ from .potentials import (
     LayerPotential,
     Potential,
     PotentialError,
+    _number,
 )
 
 
@@ -18,17 +19,13 @@ def free() -> LayerPotential:
 
 def barrier(v0: float = 2.0, half_width: float = 1.0) -> LayerPotential:
     """Real even barrier v0 on [-half_width, half_width]."""
-    return LayerPotential((complex(v0),), (2.0 * half_width,), -half_width)
+    return LayerPotential((v0,), (2.0 * half_width,), -half_width)
 
 
 def double_barrier(v1: float = 2.0, v2: float = 3.0, w1: float = 1.0,
                    gap: float = 0.8, w2: float = 0.7, x0: float = -1.5) -> LayerPotential:
     """Two real barriers separated by a gap; deliberately not centered (real, not even)."""
-    return LayerPotential(
-        (complex(v1), 0.0, complex(v2)),
-        (w1, gap, w2),
-        x0,
-    )
+    return LayerPotential((v1, 0.0, v2), (w1, gap, w2), x0)
 
 
 def pt_bilayer(gamma: float = 0.5, a: float = 1.0) -> LayerPotential:
@@ -73,15 +70,13 @@ def builtin_potentials() -> dict[str, Callable[..., Potential]]:
     return dict(_CATALOG)
 
 
-def builtin_potential(name: str, **params) -> Potential:
+def builtin_potential(name: str, /, **params) -> Potential:
+    """The catalog potential `name`; params pass _number first, as 1j * True hides a boolean."""
+    if name not in _CATALOG:
+        raise PotentialError(f"unknown built-in potential {name!r}; known: {sorted(_CATALOG)}")
+    params = {key: _number(value, f"param {key!r}") for key, value in params.items()}
     try:
-        ctor = _CATALOG[name]
-    except KeyError:
-        raise PotentialError(
-            f"unknown built-in potential {name!r}; known: {sorted(_CATALOG)}"
-        ) from None
-    try:
-        return ctor(**params)
+        return _CATALOG[name](**params)
     except TypeError as exc:
         raise PotentialError(f"bad parameters for {name!r}: {exc}") from exc
 

@@ -9,6 +9,7 @@ below a configurable threshold.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,7 +29,8 @@ class LayerPotential:
     """Piecewise-constant potential: contiguous slabs left-to-right from x_left.
 
     An empty layer list is the free (zero) potential; its support degenerates
-    to [0, 0] by convention.
+    to [0, 0] by convention. It owns the number rule (_number) for x_left and
+    each width and complex value.
     """
 
     values: tuple[complex, ...]
@@ -40,27 +42,19 @@ class LayerPotential:
     def __post_init__(self):
         if len(self.values) != len(self.widths):
             raise PotentialError("values and widths must have equal length")
-        try:
-            x_left = float(self.x_left)
-        except (TypeError, ValueError) as exc:
-            raise PotentialError(f"x_left: malformed number: {exc}") from exc
+        x_left = _number(self.x_left, "x_left")
         if not np.isfinite(x_left):
             raise PotentialError("x_left must be finite")
-        values, widths = [], []
-        for i, (v, w) in enumerate(zip(self.values, self.widths)):
-            try:
-                values.append(complex(v))
-                widths.append(float(w))
-            except (TypeError, ValueError) as exc:
-                raise PotentialError(f"layer {i}: malformed number: {exc}") from exc
+        values = tuple(_number(v, f"layer {i}", complex) for i, v in enumerate(self.values))
+        widths = tuple(_number(w, f"layer {i}") for i, w in enumerate(self.widths))
         for i, w in enumerate(widths):
             if not (np.isfinite(w) and w > 0):
                 raise PotentialError(f"layer {i}: width must be positive and finite, got {w}")
         for i, v in enumerate(values):
             if not np.isfinite(v):
                 raise PotentialError(f"layer {i}: non-finite value {v}")
-        object.__setattr__(self, "values", tuple(values))
-        object.__setattr__(self, "widths", tuple(widths))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "x_left", x_left)
 
     @property
@@ -90,7 +84,10 @@ class LayerPotential:
 
 @dataclass(frozen=True)
 class SampledPotential:
-    """Potential given on a strictly increasing grid, piecewise-linear in between."""
+    """Potential given on a strictly increasing grid, piecewise-linear in between.
+
+    It owns the number rule (_number) for each x and each complex value.
+    """
 
     xs: tuple[float, ...]
     vs: tuple[complex, ...]
@@ -102,13 +99,8 @@ class SampledPotential:
             raise PotentialError("xs and vs must have equal length")
         if len(self.xs) < 2:
             raise PotentialError("at least 2 samples required")
-        xs, vs = [], []
-        for i, (x, v) in enumerate(zip(self.xs, self.vs)):
-            try:
-                xs.append(float(x))
-                vs.append(complex(v))
-            except (TypeError, ValueError) as exc:
-                raise PotentialError(f"sample {i}: malformed number: {exc}") from exc
+        xs = tuple(_number(x, f"sample {i}") for i, x in enumerate(self.xs))
+        vs = tuple(_number(v, f"sample {i}", complex) for i, v in enumerate(self.vs))
         if not np.all(np.isfinite(xs)):
             raise PotentialError("sample abscissae must be finite")
         if not np.all(np.diff(xs) > 0):
@@ -116,8 +108,8 @@ class SampledPotential:
         for i, v in enumerate(vs):
             if not np.isfinite(v):
                 raise PotentialError(f"sample {i}: non-finite value {v}")
-        object.__setattr__(self, "xs", tuple(xs))
-        object.__setattr__(self, "vs", tuple(vs))
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "vs", vs)
         # arrays built once: evaluate runs once per ODE step, and
         # converting the tuples there costs O(len(xs)) per call
         object.__setattr__(self, "_xs", np.asarray(self.xs))
@@ -156,7 +148,10 @@ ANALYTIC_FAMILIES: dict[str, Callable] = {
 
 @dataclass(frozen=True)
 class AnalyticPotential:
-    """Named analytic profile, numerically truncated where |v| < truncation."""
+    """Named analytic profile, numerically truncated where |v| < truncation.
+
+    It owns the number rule (_number) for truncation and each param.
+    """
 
     family: str
     params: dict = field(default_factory=dict)
@@ -170,13 +165,17 @@ class AnalyticPotential:
                 f"unknown analytic family {self.family!r}; "
                 f"known: {sorted(ANALYTIC_FAMILIES)}"
             )
-        if not (self.truncation > 0 and np.isfinite(self.truncation)):
+        params = {name: _number(value, f"param {name!r}") for name, value in self.params.items()}
+        truncation = _number(self.truncation, "'truncation'")
+        if not (truncation > 0 and np.isfinite(truncation)):
             raise PotentialError("truncation threshold must be positive and finite")
         try:
-            ANALYTIC_FAMILIES[self.family](0.0, **self.params)
+            ANALYTIC_FAMILIES[self.family](0.0, **params)
         except (TypeError, ArithmeticError) as exc:
             raise PotentialError(f"bad parameters for family {self.family!r}: {exc}") from exc
-        object.__setattr__(self, "_support", _truncated_support(self._raw, self.truncation))
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "_support", _truncated_support(self._raw, truncation))
 
     def _raw(self, x):
         return ANALYTIC_FAMILIES[self.family](x, **self.params)
@@ -306,20 +305,26 @@ def _breakpoints(p: Potential) -> np.ndarray:
     return np.array(p.support_interval())
 
 
-def _number(value, where: str) -> float:
-    """A spec number, as a float: a JSON int or float, never a string or a boolean."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _number(value, where: str, kind: type = float):
+    """`value` as `kind` (float or complex): the number rule each potential owns for its fields.
+
+    Any real (or complex) number, numpy scalars included; no string, boolean or float overflow.
+    """
+    if type(value) is kind:
+        return value
+    abc = numbers.Complex if kind is complex else numbers.Real
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, abc):
         raise PotentialError(f"{where}: malformed number: expected a JSON number, got {value!r}")
     try:
-        return float(value)
+        return kind(value)
     except OverflowError as exc:
         raise PotentialError(f"{where}: malformed number: {exc}") from exc
 
 
 def _entries(doc: dict, mode: str, key: str, name: str) -> tuple[tuple, tuple[complex, ...]]:
-    """Each entry's key field and its "re" + i "im" (0 when absent), from doc[mode].
+    """Each entry's key field, unconverted, and its "re" + i "im" (0 when absent), from doc[mode].
 
-    A malformed number raises a PotentialError naming its entry "<name> <index>".
+    A malformed "re" or "im" raises a PotentialError naming its entry "<name> <index>".
     """
     entries = doc[mode]
     if not isinstance(entries, list):
@@ -329,7 +334,7 @@ def _entries(doc: dict, mode: str, key: str, name: str) -> tuple[tuple, tuple[co
         if not isinstance(entry, dict) or key not in entry:
             raise PotentialError(f"{name} {i}: expected an object with field '{key}'")
         where = f"{name} {i}"
-        fields.append(_number(entry[key], where))
+        fields.append(entry[key])
         values.append(complex(_number(entry.get("re", 0.0), where),
                               _number(entry.get("im", 0.0), where)))
     return tuple(fields), tuple(values)
@@ -361,13 +366,13 @@ def parse_potential_spec(text: str) -> Potential:
     if mode == "samples":
         return SampledPotential(*_entries(doc, mode, "x", "sample"))
     family = doc["family"]
+    if not isinstance(family, str):
+        raise PotentialError("'family' must be a string")
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise PotentialError("'params' must be an object")
-    params = {name: _number(value, f"param {name!r}") for name, value in params.items()}
     if family in ANALYTIC_FAMILIES:
-        truncation = _number(doc.get("truncation", DEFAULT_TRUNCATION), "'truncation'")
-        return AnalyticPotential(family, params, truncation)
+        return AnalyticPotential(family, params, doc.get("truncation", DEFAULT_TRUNCATION))
     # catalog names (layer builders) are accepted through the same syntax
     from .catalog import builtin_potential, builtin_potentials
 

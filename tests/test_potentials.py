@@ -13,7 +13,7 @@ from ptscatter import (
     classify_symmetry,
     parse_potential_spec,
 )
-from ptscatter.catalog import barrier, free, onesided, pt_bilayer, scarf2
+from ptscatter.catalog import barrier, builtin_potential, free, onesided, pt_bilayer, scarf2
 from ptscatter.potentials import _breakpoints
 
 
@@ -178,10 +178,97 @@ def test_parse_samples_document():
     ('{"family":"scarf2","truncation":"1e-10"}', "'truncation': malformed number"),
     pytest.param('{"layers":[{"re":1,"width":1%s}]}' % ("0" * 399), "layer 0: malformed number",
                  id="400-digit-width"),
+    # a family is a string, and a catalog param may be called "name"
+    ('{"family":[1]}', "'family' must be a string"),
+    ('{"family":"barrier","params":{"name":1}}', "bad parameters for 'barrier'"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(PotentialError, match=fragment):
         parse_potential_spec(text)
+
+
+# field: (JSON spec with the bad value at that field, the same through the Python
+# constructor, the name of the field in the message on each path)
+NUMBER_FIELDS = {
+    "layer width": (lambda bad: {"layers": [{"re": 1, "width": bad}]},
+                    lambda bad: LayerPotential((1.0,), (bad,)), "layer 0", "layer 0"),
+    "layer value": (lambda bad: {"layers": [{"re": bad, "width": 1}]},
+                    lambda bad: LayerPotential((bad,), (1.0,)), "layer 0", "layer 0"),
+    "x0": (lambda bad: {"layers": [{"re": 1, "width": 1}], "x0": bad},
+           lambda bad: LayerPotential((1.0,), (1.0,), bad), "'x0'", "x_left"),
+    "sample x": (lambda bad: {"samples": [{"x": bad}, {"x": 1}]},
+                 lambda bad: SampledPotential((bad, 1.0), (0.0, 0.0)), "sample 0", "sample 0"),
+    "sample value": (lambda bad: {"samples": [{"x": 0, "re": bad}, {"x": 1}]},
+                     lambda bad: SampledPotential((0.0, 1.0), (bad, 0.0)), "sample 0", "sample 0"),
+    "truncation": (lambda bad: {"family": "scarf2", "truncation": bad},
+                   lambda bad: AnalyticPotential("scarf2", {}, bad),
+                   "'truncation'", "'truncation'"),
+    "analytic param": (lambda bad: {"family": "gaussian", "params": {"height": bad}},
+                       lambda bad: AnalyticPotential("gaussian", {"height": bad}),
+                       "param 'height'", "param 'height'"),
+    "catalog param": (lambda bad: {"family": "pt-bilayer", "params": {"gamma": bad}},
+                      lambda bad: builtin_potential("pt-bilayer", gamma=bad),
+                      "param 'gamma'", "param 'gamma'"),
+}
+MALFORMED = {"string": "1", "boolean": True, "null": None, "list": [1], "400-digit": 10 ** 400}
+
+
+@pytest.mark.parametrize("bad", MALFORMED.values(), ids=MALFORMED.keys())
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_one_number_rule_for_json_and_python(field, bad):
+    # the spec parser and the constructors refuse the same values with the same message
+    spec, build, json_where, python_where = NUMBER_FIELDS[field]
+    with pytest.raises(PotentialError, match=f"^{json_where}: malformed number") as from_json:
+        parse_potential_spec(json.dumps(spec(bad)))
+    with pytest.raises(PotentialError, match=f"^{python_where}: malformed number") as from_python:
+        build(bad)
+    assert str(from_python.value) == str(from_json.value).replace(json_where, python_where, 1)
+
+
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_numpy_boolean_is_not_a_number(field):
+    _, build, _, python_where = NUMBER_FIELDS[field]
+    with pytest.raises(PotentialError, match=f"^{python_where}: malformed number.*np.True_"):
+        build(np.bool_(True))
+
+
+def test_numpy_scalars_are_numbers():
+    p = LayerPotential((np.complex64(1 + 1j),), (np.float32(0.5),), np.int64(-1))
+    assert p == LayerPotential((1 + 1j,), (0.5,), -1.0)
+    assert (type(p.values[0]), type(p.widths[0]), type(p.x_left)) == (complex, float, float)
+    s = SampledPotential((np.int32(0), np.float16(1.5)), (np.float64(2.0), np.complex128(1j)))
+    assert s == SampledPotential((0.0, 1.5), (2.0, 1j))
+    a = AnalyticPotential("gaussian", {"height": np.float32(0.5)}, np.float64(1e-10))
+    assert a == AnalyticPotential("gaussian", {"height": 0.5}, 1e-10)
+    assert builtin_potential("pt-bilayer", gamma=np.int64(2)) == pt_bilayer(gamma=2.0)
+
+
+_SPEC_NUMBER = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                         st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+_SPEC_WIDTH = st.one_of(st.integers(1, 100), st.floats(1e-6, 100.0))
+
+
+@st.composite
+def _layer_or_sample_spec(draw):
+    """A JSON-ready layer or sample spec and the potential its constructor builds from it."""
+    value = st.fixed_dictionaries({}, optional={"re": _SPEC_NUMBER, "im": _SPEC_NUMBER})
+    if draw(st.booleans()):
+        layers = [dict(width=w, **draw(value)) for w in draw(st.lists(_SPEC_WIDTH, max_size=6))]
+        x0 = draw(_SPEC_NUMBER)
+        values = tuple(complex(e.get("re", 0), e.get("im", 0)) for e in layers)
+        return ({"layers": layers, "x0": x0},
+                LayerPotential(values, tuple(e["width"] for e in layers), x0))
+    xs = sorted(draw(st.lists(_SPEC_NUMBER, min_size=2, max_size=6, unique=True)))
+    samples = [dict(x=x, **draw(value)) for x in xs]
+    values = tuple(complex(e.get("re", 0), e.get("im", 0)) for e in samples)
+    return {"samples": samples}, SampledPotential(tuple(xs), values)
+
+
+@given(_layer_or_sample_spec())
+@settings(max_examples=200, deadline=None)
+def test_json_spec_equals_the_constructor_on_the_same_numbers(case):
+    spec, expected = case
+    assert parse_potential_spec(json.dumps(spec)) == expected
 
 
 def test_layer_validation_errors():

@@ -73,10 +73,11 @@ SAMPLED_SPIKE = {"samples": [{"x": x, "re": v} for x, v in
 # (the other analytic family); the ODE scans of the sampled profile and of Scarf II refine
 # grid minima, a Scarf II `scan --backend both` is its auto scan (no cross-check note off
 # the stack), and a Scarf II verify at ode_tol 1e-13 rejects steps
-# (its +-0.1 system rejects 4; a k array from 0.1 to 3 rejects none); last, pt-stack4
+# (its +-0.1 system rejects 4; a k array from 0.1 to 3 rejects none); then pt-stack4
 # scans at a fine and a coarse refinement tolerance (at 1e-2 its R_left zero is refined
-# to a k whose |R_left| misses the acceptance floor, and the table is empty), and a layer
-# whose width is the JSON string "1", which is not a number
+# to a k whose |R_left| misses the acceptance floor, and the table is empty); last, three
+# specs whose number is not a JSON number, each refused by the object that owns the field:
+# a layer width "1", a catalog param true and an analytic truncation "1e-10"
 EXTRAS = (
     ("opaque-slab", {"layers": [{"re": 10000, "width": 10}], "x0": -5}, (
         ["sweep", "--backend", "stack", "--format", "csv", "--k-range", "0.3:3.0:60"],
@@ -129,6 +130,12 @@ EXTRAS = (
         ["scan", "--tol", "1e-2", "--k-range", DENSE_SCAN],
     )),
     ("string-width", {"layers": [{"re": 2, "width": "1"}], "x0": -1}, (
+        ["verify", "--k", "1"],
+    )),
+    ("boolean-param", {"family": "pt-bilayer", "params": {"gamma": True}}, (
+        ["verify", "--k", "1"],
+    )),
+    ("string-truncation", {"family": "scarf2", "truncation": "1e-10"}, (
         ["verify", "--k", "1"],
     )),
 )
