@@ -51,14 +51,13 @@ def _parse_k_range(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("--k-range must be MIN:MAX:COUNT")
+    lo, hi = _positive(parts[0]), _positive(parts[1])  # each end is judged as --k is
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        count = int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad --k-range: {exc}") from exc
-    if not (0 < lo < hi) or count < 2:
-        raise argparse.ArgumentTypeError("--k-range needs 0 < MIN < MAX and COUNT >= 2")
-    if not np.isfinite(hi):
-        raise argparse.ArgumentTypeError("--k-range needs a finite MAX")
+    if not lo < hi or count < 2:
+        raise argparse.ArgumentTypeError("--k-range needs MIN < MAX and COUNT >= 2")
     return np.linspace(lo, hi, count)
 
 
@@ -69,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_range: bool):
+    def common(sp, run, needs_range: bool):
+        sp.set_defaults(run=run)
         sp.add_argument("--potential", required=True, metavar="FILE",
                         help="potential spec file (JSON; see format reference)")
         if needs_range:
@@ -88,17 +88,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output file (default: stdout)")
 
     sp = sub.add_parser("sweep", help="tabulate scattering data over a k grid")
-    common(sp, needs_range=True)
+    common(sp, _cmd_sweep, needs_range=True)
 
     sp = sub.add_parser("verify", help="evaluate the identity catalog; exit 1 on failure")
-    common(sp, needs_range=False)
+    common(sp, _cmd_verify, needs_range=False)
     sp.add_argument("--tol", type=_positive, default=None,
                     help=f"residual tolerance (default {DEFAULT_VERIFY_TOL}, or ${TOL_ENV_VAR})")
     sp.add_argument("--long", action="store_true",
                     help="CSV output as one row per (k, identity) instead of wide columns")
 
     sp = sub.add_parser("scan", help="locate singular/reflectionless/invisible points")
-    common(sp, needs_range=True)
+    common(sp, _cmd_scan, needs_range=True)
     sp.add_argument("--tol", type=_positive, default=DEFAULT_REFINE_TOL,
                     help=f"refinement tolerance (default {DEFAULT_REFINE_TOL})")
 
@@ -153,7 +153,7 @@ def _cmd_verify(args) -> int:
                               backend=backend_k, backend_negk=backend_negk)
     if args.format == "json":
         text = tables.reports_to_json(reports)
-    elif getattr(args, "long", False):
+    elif args.long:
         text = tables.reports_to_long_csv(reports)
     else:
         text = tables.reports_to_csv(reports)
@@ -208,20 +208,13 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        parser.error(f"unknown command {args.command!r}")
-    except (PotentialError, BackendError, ValueError) as exc:
+        return args.run(args)
+    except (BackendError, ValueError) as exc:  # a PotentialError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"error: integration did not converge: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def main() -> None:

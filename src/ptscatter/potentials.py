@@ -8,6 +8,7 @@ below a configurable threshold.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import numbers
 from dataclasses import dataclass, field
@@ -18,6 +19,10 @@ import numpy as np
 DEFAULT_TRUNCATION = 1e-12
 DEFAULT_CLASS_TOL = 1e-10
 DEFAULT_CLASS_SAMPLES = 2001
+# mode: (the keys its spec may carry, the keys each entry may carry, the required one first)
+SPEC_KEYS = {"layers": (("layers", "x0"), ("width", "re", "im")),
+             "family": (("family", "params", "truncation"), ()),  # catalog: no truncation
+             "samples": (("samples",), ("x", "re", "im"))}
 
 
 class PotentialError(ValueError):
@@ -43,16 +48,11 @@ class LayerPotential:
         if len(self.values) != len(self.widths):
             raise PotentialError("values and widths must have equal length")
         x_left = _number(self.x_left, "x_left")
-        if not np.isfinite(x_left):
-            raise PotentialError("x_left must be finite")
         values = tuple(_number(v, f"layer {i}", complex) for i, v in enumerate(self.values))
         widths = tuple(_number(w, f"layer {i}") for i, w in enumerate(self.widths))
         for i, w in enumerate(widths):
-            if not (np.isfinite(w) and w > 0):
-                raise PotentialError(f"layer {i}: width must be positive and finite, got {w}")
-        for i, v in enumerate(values):
-            if not np.isfinite(v):
-                raise PotentialError(f"layer {i}: non-finite value {v}")
+            if not w > 0:
+                raise PotentialError(f"layer {i}: width must be positive, got {w}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "x_left", x_left)
@@ -101,13 +101,8 @@ class SampledPotential:
             raise PotentialError("at least 2 samples required")
         xs = tuple(_number(x, f"sample {i}") for i, x in enumerate(self.xs))
         vs = tuple(_number(v, f"sample {i}", complex) for i, v in enumerate(self.vs))
-        if not np.all(np.isfinite(xs)):
-            raise PotentialError("sample abscissae must be finite")
         if not np.all(np.diff(xs) > 0):
             raise PotentialError("sample abscissae must be strictly increasing")
-        for i, v in enumerate(vs):
-            if not np.isfinite(v):
-                raise PotentialError(f"sample {i}: non-finite value {v}")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "vs", vs)
         # arrays built once: evaluate runs once per ODE step, and
@@ -167,15 +162,14 @@ class AnalyticPotential:
             )
         params = {name: _number(value, f"param {name!r}") for name, value in self.params.items()}
         truncation = _number(self.truncation, "'truncation'")
-        if not (truncation > 0 and np.isfinite(truncation)):
-            raise PotentialError("truncation threshold must be positive and finite")
-        try:
-            ANALYTIC_FAMILIES[self.family](0.0, **params)
-        except (TypeError, ArithmeticError) as exc:
-            raise PotentialError(f"bad parameters for family {self.family!r}: {exc}") from exc
+        if not truncation > 0:
+            raise PotentialError("truncation threshold must be positive")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "_support", _truncated_support(self._raw, truncation))
+        try:  # the first profile evaluation also judges the params' names and values
+            object.__setattr__(self, "_support", _truncated_support(self._raw, truncation))
+        except (TypeError, ArithmeticError) as exc:
+            raise PotentialError(f"bad parameters for family {self.family!r}: {exc}") from exc
 
     def _raw(self, x):
         return ANALYTIC_FAMILIES[self.family](x, **self.params)
@@ -306,35 +300,46 @@ def _breakpoints(p: Potential) -> np.ndarray:
 
 
 def _number(value, where: str, kind: type = float):
-    """`value` as `kind` (float or complex): the number rule each potential owns for its fields.
+    """`value` as a finite `kind` (float or complex): the number rule each potential owns.
 
-    Any real (or complex) number, numpy scalars included; no string, boolean or float overflow.
+    Any finite real (or complex) number, numpy scalars included: no string, boolean, NaN or inf.
     """
-    if type(value) is kind:
+    if type(value) is kind and cmath.isfinite(value):
         return value
     abc = numbers.Complex if kind is complex else numbers.Real
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, abc):
         raise PotentialError(f"{where}: malformed number: expected a JSON number, got {value!r}")
     try:
-        return kind(value)
+        value = kind(value)
     except OverflowError as exc:
         raise PotentialError(f"{where}: malformed number: {exc}") from exc
+    if not cmath.isfinite(value):
+        raise PotentialError(f"{where}: non-finite value {value}")
+    return value
 
 
-def _entries(doc: dict, mode: str, key: str, name: str) -> tuple[tuple, tuple[complex, ...]]:
-    """Each entry's key field, unconverted, and its "re" + i "im" (0 when absent), from doc[mode].
+def _known_keys(obj, allowed: tuple[str, ...], where: str) -> None:
+    """Refuse obj unless it is an object with key allowed[0] and no key outside allowed."""
+    if not isinstance(obj, dict) or allowed[0] not in obj:
+        raise PotentialError(f"{where}: expected an object with field '{allowed[0]}'")
+    if unknown := [key for key in obj if key not in allowed]:
+        raise PotentialError(f"{where}: unknown key {unknown[0]!r}; allowed: {', '.join(allowed)}")
 
-    A malformed "re" or "im" raises a PotentialError naming its entry "<name> <index>".
+
+def _entries(doc: dict, mode: str, name: str) -> tuple[tuple, tuple[complex, ...]]:
+    """Each entry's required field, unconverted, and its "re" + i "im" (0 when absent).
+
+    A missing, unknown or malformed field (SPEC_KEYS[mode]) raises naming "<name> <index>".
     """
     entries = doc[mode]
     if not isinstance(entries, list):
         raise PotentialError(f"'{mode}' must be a list")
+    allowed = SPEC_KEYS[mode][1]
     fields, values = [], []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or key not in entry:
-            raise PotentialError(f"{name} {i}: expected an object with field '{key}'")
         where = f"{name} {i}"
-        fields.append(entry[key])
+        _known_keys(entry, allowed, where)
+        fields.append(entry[allowed[0]])
         values.append(complex(_number(entry.get("re", 0.0), where),
                               _number(entry.get("im", 0.0), where)))
     return tuple(fields), tuple(values)
@@ -354,17 +359,18 @@ def parse_potential_spec(text: str) -> Potential:
         raise PotentialError(f"potential spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise PotentialError("potential spec must be a JSON object")
-    keys = [key for key in ("layers", "family", "samples") if key in doc]
+    keys = [key for key in SPEC_KEYS if key in doc]
     if len(keys) != 1:
         raise PotentialError(
             "potential spec must contain exactly one of 'layers', 'family', 'samples'"
         )
     mode = keys[0]
+    _known_keys(doc, SPEC_KEYS[mode][0], "potential spec")
     if mode == "layers":
-        widths, values = _entries(doc, mode, "width", "layer")
+        widths, values = _entries(doc, mode, "layer")
         return LayerPotential(values, widths, _number(doc.get("x0", 0.0), "'x0'"))
     if mode == "samples":
-        return SampledPotential(*_entries(doc, mode, "x", "sample"))
+        return SampledPotential(*_entries(doc, mode, "sample"))
     family = doc["family"]
     if not isinstance(family, str):
         raise PotentialError("'family' must be a string")
@@ -377,6 +383,7 @@ def parse_potential_spec(text: str) -> Potential:
     from .catalog import builtin_potential, builtin_potentials
 
     if family in builtin_potentials():
+        _known_keys(doc, ("family", "params"), "potential spec")
         return builtin_potential(family, **params)
     raise PotentialError(
         f"unknown analytic family {family!r}; known families: "

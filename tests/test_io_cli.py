@@ -307,6 +307,10 @@ def test_cli_usage_errors_exit_two(pot_files, capsys, tmp_path):
     # non-finite k is a usage error, not a table of nan/inf rows or a failed identity
     for argv in (["sweep", "--k-range", "0.5:inf:3"], ["sweep", "--k-range", "0.5:1e400:3"],
                  ["scan", "--k-range", "0.5:inf:3"], ["verify", "--k-range", "0.5:inf:3"],
+                 # each end of --k-range is judged as --k is
+                 ["sweep", "--k-range", "nan:1:3"], ["sweep", "--k-range", "0:1:3"],
+                 ["sweep", "--k-range", "-1:1:3"], ["verify", "--k-range", "0.5:1e400:3"],
+                 ["scan", "--k-range", "x:1:3"],
                  ["verify", "--k", "nan"], ["verify", "--k", "inf"],
                  ["verify", "--k", "0"], ["verify", "--k", "-1"],
                  # a tolerance is a finite number > 0
@@ -319,6 +323,26 @@ def test_cli_usage_errors_exit_two(pot_files, capsys, tmp_path):
                  ["verify", "--k", "1", "--ode-tol", "nan"]):
         assert run_command(argv[:1] + ["--potential", pot_files["barrier"]] + argv[1:]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("text,where,key", [
+    ('{"layers":[{"re":1,"width":1}],"x_0":-0.5}', "potential spec", "x_0"),
+    ('{"layers":[{"re":1,"imag":0.5,"width":1}],"x0":-0.5}', "layer 0", "imag"),
+    ('{"family":"scarf2","parms":{"v1":2}}', "potential spec", "parms"),
+    ('{"layers":[{"re":1,"width":1,"wdth":2}]}', "layer 0", "wdth"),
+    ('{"samples":[{"x":0},{"x":1}],"x0":1}', "potential spec", "x0"),
+    # "truncation" is for analytic families; a catalog name takes only params
+    ('{"family":"barrier","truncation":1e-10}', "potential spec", "truncation"),
+])
+def test_unknown_spec_key_is_refused(text, where, key, tmp_path, capsys):
+    # a misspelt key would otherwise build, and verify, a different potential
+    fragment = f"{where}: unknown key '{key}'"
+    with pytest.raises(PotentialError, match=f"^{fragment}"):
+        parse_potential_spec(text)
+    f = tmp_path / "spec.json"
+    f.write_text(text)
+    assert run_command(["verify", "--potential", str(f), "--k", "1"]) == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_malformed_layer_field_exits_two(tmp_path, capsys):

@@ -225,6 +225,25 @@ def test_one_number_rule_for_json_and_python(field, bad):
     assert str(from_python.value) == str(from_json.value).replace(json_where, python_where, 1)
 
 
+# Python value, and its JSON text: 1e400 is a literal that Python parses to inf
+NON_FINITE = {"nan": (float("nan"), "NaN"), "inf": (float("inf"), "Infinity"),
+              "-inf": (float("-inf"), "-Infinity"), "1e400": (float("inf"), "1e400")}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE.keys())
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_non_finite_refused_for_json_and_python(field, bad):
+    # _number refuses NaN and +-inf on both paths, naming the field
+    spec, build, json_where, python_where = NUMBER_FIELDS[field]
+    value, json_text = bad
+    marker = 123456.789  # stands in for the value, then its JSON text replaces it
+    text = json.dumps(spec(marker)).replace(repr(marker), json_text)
+    with pytest.raises(PotentialError, match=f"^{json_where}: non-finite value "):
+        parse_potential_spec(text)
+    with pytest.raises(PotentialError, match=f"^{python_where}: non-finite value "):
+        build(value)
+
+
 @pytest.mark.parametrize("field", NUMBER_FIELDS)
 def test_numpy_boolean_is_not_a_number(field):
     _, build, _, python_where = NUMBER_FIELDS[field]

@@ -77,7 +77,8 @@ SAMPLED_SPIKE = {"samples": [{"x": x, "re": v} for x, v in
 # scans at a fine and a coarse refinement tolerance (at 1e-2 its R_left zero is refined
 # to a k whose |R_left| misses the acceptance floor, and the table is empty); last, three
 # specs whose number is not a JSON number, each refused by the object that owns the field:
-# a layer width "1", a catalog param true and an analytic truncation "1e-10"
+# a layer width "1", a catalog param true and an analytic truncation "1e-10"; then a layer
+# whose imaginary part is under an unknown key "imag", and a catalog param Infinity
 EXTRAS = (
     ("opaque-slab", {"layers": [{"re": 10000, "width": 10}], "x0": -5}, (
         ["sweep", "--backend", "stack", "--format", "csv", "--k-range", "0.3:3.0:60"],
@@ -136,6 +137,12 @@ EXTRAS = (
         ["verify", "--k", "1"],
     )),
     ("string-truncation", {"family": "scarf2", "truncation": "1e-10"}, (
+        ["verify", "--k", "1"],
+    )),
+    ("unknown-key", {"layers": [{"re": 1, "imag": 0.5, "width": 1}], "x0": -0.5}, (
+        ["verify", "--k", "1"],
+    )),
+    ("infinite-param", {"family": "pt-bilayer", "params": {"a": float("inf")}}, (
         ["verify", "--k", "1"],
     )),
 )
