@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from .kernels import layer_edges
+
 DEFAULT_TRUNCATION = 1e-12
 DEFAULT_CLASS_TOL = 1e-10
 DEFAULT_CLASS_SAMPLES = 2001
@@ -60,7 +62,7 @@ class LayerPotential:
     @property
     def edges(self) -> np.ndarray:
         """Layer boundary positions, length n_layers + 1."""
-        return self.x_left + np.concatenate([[0.0], np.cumsum(self.widths)])
+        return layer_edges(self.widths, self.x_left)
 
     def support_interval(self) -> tuple[float, float]:
         if not self.values:

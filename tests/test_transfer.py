@@ -77,12 +77,33 @@ def test_stack_semigroup_property():
 
 
 def test_stack_matrices_vectorized_agrees_with_scalar():
-    p = pt_stack4()
-    ks = np.linspace(0.4, 2.9, 17)
-    mats = stack_matrices(p, ks)
-    for i, k in enumerate(ks):
-        np.testing.assert_allclose(mats[i], compute_transfer(p, float(k), "stack").as_array(),
-                                   atol=1e-14)
+    """Every row of a batched call is bit for bit that k's single-k call.
+
+    scan._locate takes its grid rows as refinement rows on that ground. The
+    64-layer k counts sit on both sides of the kernel's layer-block bounds;
+    each stack's first layer is real, and k = sqrt(v) there makes kappa = 0,
+    the |z| < 1e-6 branch; the opaque stack's product overflows to inf and NaN.
+    """
+    rng = np.random.default_rng(79)
+    sizes = [(64, n) for n in (1, 63, 64, 65, 4097)]
+    sizes += [(int(rng.integers(1, 65)), int(rng.integers(2, 200))) for _ in range(6)]
+    stacks = []
+    for n_layers, n in sizes:
+        values = rng.normal(scale=3.0, size=n_layers) + 1j * rng.normal(size=n_layers)
+        values[0] = abs(values[0].real) + 0.5
+        ks = np.sort(rng.uniform(0.2, 5.0, size=n))
+        ks[n // 2] = np.sqrt(values[0].real)
+        stacks.append((values, rng.uniform(0.05, 0.5, size=n_layers), ks))
+    stacks.append(((1.0 + 0.5j, 10000.0, -2.0), (0.5, 10.0, 0.3), np.linspace(0.3, 3.0, 60)))
+    nonfinite_rows = 0
+    for values, widths, ks in stacks:
+        p = LayerPotential(tuple(values), tuple(widths), -1.0)
+        mats = stack_matrices(p, ks)
+        nonfinite_rows += int(np.sum(~np.all(np.isfinite(mats), axis=(1, 2))))
+        for i in sorted({*range(0, ks.size, 97), ks.size // 2, ks.size - 1}):
+            single = stack_matrices(p, ks[i:i + 1])
+            assert single.tobytes() == mats[i:i + 1].tobytes(), (len(values), ks.size, i)
+    assert nonfinite_rows >= 60
 
 
 def test_ode_zero_potential_identity():

@@ -63,6 +63,13 @@ LAYER_SPIKE = {"layers": [{"re": 2, "width": 1}, {"re": 2, "width": 0.5001},
                           {"re": 30, "width": 2e-4}, {"re": 2, "width": 0.4997}], "x0": -1}
 SAMPLED_SPIKE = {"samples": [{"x": x, "re": v} for x, v in
                              ((-1, 0), (0.3, 0), (0.3001, 5), (0.3002, 0), (1, 0))]}
+# 64 seeded layers, each 3/32 wide (np.sum and cumsum of the widths agree exactly), the
+# right half the conjugate mirror of the left: a PT stack on [-3, 3] whose kernel calls
+# span several layer blocks at every k count
+_HALF = np.random.default_rng(64).normal(scale=(2.0, 0.5), size=(32, 2))
+PT_STACK64 = {"layers": [{"re": float(re), "im": float(im), "width": 0.09375}
+                         for re, im in np.concatenate([_HALF, _HALF[::-1] * (1.0, -1.0)])],
+              "x0": -3}
 
 # name, spec, argv: a slab whose product overflows (NaN and inf rows),
 # pt-bilayer at a spectral singularity, each with multi-k verify batches,
@@ -78,7 +85,8 @@ SAMPLED_SPIKE = {"samples": [{"x": x, "re": v} for x, v in
 # to a k whose |R_left| misses the acceptance floor, and the table is empty); last, three
 # specs whose number is not a JSON number, each refused by the object that owns the field:
 # a layer width "1", a catalog param true and an analytic truncation "1e-10"; then a layer
-# whose imaginary part is under an unknown key "imag", and a catalog param Infinity
+# whose imaginary part is under an unknown key "imag", and a catalog param Infinity;
+# then the 64-layer PT stack, swept, verified and scanned on the stack backend
 EXTRAS = (
     ("opaque-slab", {"layers": [{"re": 10000, "width": 10}], "x0": -5}, (
         ["sweep", "--backend", "stack", "--format", "csv", "--k-range", "0.3:3.0:60"],
@@ -144,6 +152,11 @@ EXTRAS = (
     )),
     ("infinite-param", {"family": "pt-bilayer", "params": {"a": float("inf")}}, (
         ["verify", "--k", "1"],
+    )),
+    ("pt-stack64", PT_STACK64, (
+        ["sweep", "--format", "json", "--k-range", "0.3:3.0:2000"],
+        ["verify", "--format", "json", "--k-range", "0.3:3.0:100"],
+        ["scan", "--k-range", "0.3:3.0:941"],
     )),
 )
 
